@@ -10,7 +10,6 @@
 // BENCH_parallel_scaling.json for cross-PR tracking.
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -19,7 +18,6 @@
 #include "attr/tnam.hpp"
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "core/batch.hpp"
 #include "eval/datasets.hpp"
@@ -72,55 +70,6 @@ void RunDataset(const std::string& name, size_t num_queries) {
         .Int("queries", queries.size())
         .Num("seconds", seconds)
         .Num("speedup", baseline / seconds);
-  }
-}
-
-// Intra-query scaling: the single-seed big-graph regime of Fig. 10, where
-// batch parallelism has nothing to fan out and the non-greedy SpMV round
-// dominates. One persistent Laca per thread count, with a persistent helper
-// pool sharding the non-greedy rounds; per-seed mean over the same seeds at
-// every thread count. Results are bit-identical across thread counts (the
-// sharded round replays the serial FP order), so only time may change.
-void RunIntraQueryScaling(const std::string& name, size_t num_seeds,
-                          double epsilon) {
-  const Dataset& ds = GetDataset(name);
-  TnamOptions topts;
-  Tnam tnam = Tnam::Build(ds.data.attributes, topts);
-  std::vector<NodeId> seeds = SampleSeeds(ds, num_seeds);
-
-  bench::PrintHeader("Intra-query scaling on " + name + " (single-seed, " +
-                     std::to_string(seeds.size()) + " seeds, eps=" +
-                     bench::Fmt(epsilon, "%.0e") + ")");
-  bench::PrintRow("threads", {"s/seed", "speedup"}, 10, 14);
-  double baseline = 0.0;
-  for (size_t threads : {1u, 2u, 4u, 8u}) {
-    DiffusionWorkspace workspace;
-    Laca laca(ds.data.graph, &tnam, &workspace);
-    std::unique_ptr<ThreadPool> helper;
-    if (threads > 1) {
-      helper = std::make_unique<ThreadPool>(threads - 1);
-      laca.SetIntraQueryPool(helper.get());
-    }
-    LacaOptions opts;
-    opts.epsilon = epsilon;
-    laca.ComputeBdd(seeds.front(), opts);  // warm the arena + shard buffers
-    Timer timer;
-    for (NodeId seed : seeds) laca.ComputeBdd(seed, opts);
-    const double per_seed =
-        timer.ElapsedSeconds() / static_cast<double>(seeds.size());
-    if (threads == 1) baseline = per_seed;
-    bench::PrintRow(std::to_string(threads),
-                    {bench::FmtSeconds(per_seed),
-                     bench::Fmt(baseline / per_seed, "%.2fx")},
-                    10, 14);
-    json.BeginRecord()
-        .Str("experiment", "intra_query_scaling")
-        .Str("dataset", name)
-        .Int("threads", threads)
-        .Num("epsilon", epsilon)
-        .Int("seeds", seeds.size())
-        .Num("seconds_per_seed", per_seed)
-        .Num("speedup", baseline / per_seed);
   }
 }
 
@@ -274,19 +223,12 @@ int main() {
   laca::RunDataset("arxiv-sim", queries);
   laca::RunSkewedDegreeSbm(queries);
   laca::RunSkewComparison("pubmed-sim", queries, std::max(2u, cores));
-  // The big-graph single-seed regime: per-query latency can only improve via
-  // intra-query sharding. Few seeds — each is a full deep diffusion.
-  laca::RunIntraQueryScaling("amazon2m-sim", laca::BenchSeedCount(8), 1e-7);
   laca::json.WriteFile("BENCH_parallel_scaling.json");
   std::printf(
       "\nExpected shape: near-linear batch scaling up to the machine's core\n"
       "count (queries touch disjoint regions and share only the read-only\n"
-      "graph and TNAM), the dynamic scheduler beating static chunking on\n"
-      "the cost-sorted set, and >= 2x single-seed speedup at 8 threads from\n"
-      "intra-query sharding of the non-greedy rounds. On a single-core host\n"
-      "the batch comparisons degenerate to ~1.0x plus scheduling overhead,\n"
-      "but intra-query rows drop to ~0.3x: the deterministic bucket\n"
-      "materialization costs ~2.9x the fused serial scatter when serialized\n"
-      "(DESIGN.md §2b) and only pays off with real cores.\n");
+      "graph and TNAM) and the dynamic scheduler beating static chunking on\n"
+      "the cost-sorted set. On a single-core host both comparisons\n"
+      "degenerate to ~1.0x plus scheduling overhead.\n");
   return 0;
 }

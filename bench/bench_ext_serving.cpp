@@ -35,6 +35,7 @@
 
 #include "attr/tnam.hpp"
 #include "bench_util.hpp"
+#include "common/quantile.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "data/dataset_snapshot.hpp"
@@ -106,10 +107,8 @@ LoadResult Drive(ServingEngine& engine, const std::vector<ServeRequest>& reqs,
   }
   out.seconds = timer.ElapsedSeconds();
   std::sort(latencies.begin(), latencies.end());
-  if (!latencies.empty()) {
-    out.p50 = latencies[(latencies.size() - 1) / 2];
-    out.p99 = latencies[(latencies.size() - 1) * 99 / 100];
-  }
+  out.p50 = NearestRank(latencies, 50);
+  out.p99 = NearestRank(latencies, 99);
   out.alloc_delta = engine.Stats().alloc_events - alloc_before;
   return out;
 }
@@ -309,7 +308,7 @@ void RunReloadStudy(const std::string& name, size_t num_requests,
 
   auto p99 = [](std::vector<double>& v) {
     std::sort(v.begin(), v.end());
-    return v.empty() ? 0.0 : v[(v.size() - 1) * 99 / 100];
+    return NearestRank(v, 99);
   };
   const double p99_steady = p99(steady_lat);
   const double p99_swap = p99(swap_lat);
@@ -367,11 +366,7 @@ struct OverloadResult {
   uint64_t served = 0;
   uint64_t shed = 0;       // kDeadlineExceeded, expired unclaimed in queue
   uint64_t cancelled = 0;  // kDeadlineExceeded, tripped mid-compute
-  double p99() const {
-    return served_latencies.empty()
-               ? 0.0
-               : served_latencies[(served_latencies.size() - 1) * 99 / 100];
-  }
+  double p99() const { return NearestRank(served_latencies, 99); }
 };
 
 OverloadResult DriveOverload(ServingEngine& engine,
@@ -691,11 +686,8 @@ void RunZipfStudy(const std::string& name, size_t pool_target,
         latencies.push_back(resp.total_seconds);
       }
       std::sort(latencies.begin(), latencies.end());
-      const double p50 =
-          latencies.empty() ? 0.0 : latencies[(latencies.size() - 1) / 2];
-      const double p99 = latencies.empty()
-                             ? 0.0
-                             : latencies[(latencies.size() - 1) * 99 / 100];
+      const double p50 = NearestRank(latencies, 50);
+      const double p99 = NearestRank(latencies, 99);
 
       const ServingStats stats = engine.Stats();
       const uint64_t lookups = stats.cache_hits + stats.cache_misses;

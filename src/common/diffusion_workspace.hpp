@@ -11,9 +11,9 @@
 //     r_support / q_support; BeginCall() sparse-clears the listed slots and
 //     advances the epoch, so a new call starts from all-zero scratch without
 //     touching the other n - |touched| entries. Both support lists are
-//     duplicate-free: every client appends through the epoch-stamp check.
-//     This is load-bearing for the sharded non-greedy round, which assigns
-//     each r_support entry to exactly one drain slice.
+//     duplicate-free: every client appends through the epoch-stamp check,
+//     so a support walk visits each node once and both lists stay bounded
+//     by n (Bind() reserves that once).
 //   * Buffer capacities reach a per-graph steady state after the first call
 //     or two, after which repeated calls perform zero heap allocations —
 //     alloc_events() is the witness the zero-allocation test reads.
@@ -106,58 +106,6 @@ class DiffusionWorkspace {
   NodeId* queue_ring() { return queue_ring_.data(); }
   size_t queue_capacity() const { return queue_ring_.size(); }
 
-  // -------------------------------------------------------------------------
-  // Per-thread shards for the intra-query parallel non-greedy round
-  // (DESIGN.md §2b). The round is split into a drain phase (contiguous
-  // support slices, one per shard) and an owner-merge phase (node-range
-  // ownership); both communicate only through these buffers, so the shared
-  // dense arrays are written by at most one thread per slot per phase.
-
-  /// One scatter contribution, stamped with its shard-local emission index.
-  /// (source shard, seq) lexicographic order IS the serial kernel's global
-  /// scatter order, because shards partition the support contiguously — the
-  /// merge phase replays contributions per target in exactly that order, so
-  /// every r_next[u] accumulates in the bit-identical serial FP sequence.
-  struct ShardContribution {
-    NodeId target;
-    uint32_t seq;
-    double value;
-  };
-
-  /// A first touch of a target this round (r_next transitioned 0 -> nonzero),
-  /// detected by the owning shard during the merge phase. `key` is
-  /// (source shard << 32) | seq of the triggering contribution, so a k-way
-  /// merge over the per-owner lists (each already key-sorted) reconstructs
-  /// the exact serial first-touch order — which fixes both the support append
-  /// order and the vol(r) FP accumulation order.
-  struct ShardTouch {
-    uint64_t key;
-    NodeId node;
-    /// The stamp check outcome: node enters the call's support.
-    uint8_t append;
-  };
-
-  /// Thread-private scratch owned by one shard for the whole round.
-  struct ThreadShard {
-    /// Contributions bucketed by owning shard, in emission order.
-    std::vector<std::vector<ShardContribution>> outgoing;
-    /// q_support entries discovered while draining this shard's slice.
-    std::vector<NodeId> q_appends;
-    /// First touches detected while merging as owner, sorted by key.
-    std::vector<ShardTouch> touches;
-    uint64_t push_work = 0;
-  };
-
-  /// Ensures `count` shards exist, each with `count` owner buckets, and
-  /// clears their per-round state. Buffer capacities persist across rounds
-  /// and calls (high-water mark), so steady-state rounds allocate nothing.
-  std::vector<ThreadShard>& AcquireShards(size_t count);
-
-  /// Folds shard-buffer capacity growth into alloc_events(). Called after a
-  /// parallel round; keeps the zero-allocation witness honest for buffers
-  /// that grow organically to their high-water mark.
-  void AuditShardAllocations();
-
  private:
   // Reserves `capacity` for `buf`, counting real allocations.
   template <typename T>
@@ -171,8 +119,6 @@ class DiffusionWorkspace {
   std::vector<NodeId> r_support_, q_support_, gamma_ids_, candidates_;
   std::vector<double> gamma_values_;
   std::vector<NodeId> queue_ring_;
-  std::vector<ThreadShard> shards_;
-  std::vector<size_t> shard_caps_;  // flattened capacity snapshot for audits
   uint64_t bound_graph_id_ = 0;  // Graph::instance_id() of the bound graph
   uint64_t alloc_events_ = 0;
   uint64_t epoch_ = 0;

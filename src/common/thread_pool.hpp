@@ -9,16 +9,18 @@
 //   * TaskGroup — per-batch. Each group waits for exactly the tasks it
 //     submitted and rethrows only its own first error. Two groups sharing one
 //     pool are fully independent: neither blocks on (or steals exceptions
-//     from) the other's tasks. This is what the two-level BatchCluster
-//     scheduling relies on, and what ThreadPool::ParallelFor uses internally.
+//     from) the other's tasks. BatchCluster's worker fleet and
+//     ThreadPool::ParallelFor both wait through one.
 //   * ThreadPool::Wait — whole-pool drain (every queued task from every
 //     group). Kept for destructor semantics and for callers that raw-Submit
 //     without a group.
 //
 // A TaskGroup::Wait() caller that is itself a pool worker helps execute its
 // own group's queued tasks instead of sleeping, so nesting a group inside a
-// pool task (intra-query sharding inside an across-seed worker) cannot
-// deadlock even when every worker is blocked in a Wait().
+// pool task cannot deadlock even when every worker is blocked in a Wait().
+// That nesting is real: EvaluateMethodsParallel runs each method as a task
+// on SharedPool(), and LACA's Prepare builds its TNAM with ForEachBlock over
+// SharedPoolOrSerial() — a second group on the same pool.
 #ifndef LACA_COMMON_THREAD_POOL_HPP_
 #define LACA_COMMON_THREAD_POOL_HPP_
 

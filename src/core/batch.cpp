@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
 
 #include "common/thread_pool.hpp"
 #include "core/thread_budget.hpp"
@@ -15,43 +14,28 @@ std::vector<std::vector<NodeId>> BatchCluster(
   std::vector<std::vector<NodeId>> results(queries.size());
   if (queries.empty()) return results;
 
-  // More across-seed workers than queries just idle (and waste a Laca
-  // construction each); the surplus threads instead become intra-query
-  // helpers. The split clamps the combined fleet — workers plus helpers —
-  // to the num_threads budget even under an intra_query_threads override.
-  // The schedulers below are correct for any worker count in
+  // One worker per budgeted thread, but never more workers than queries: a
+  // surplus worker would only idle (and waste a Laca construction). The
+  // schedulers below are correct for any worker count in
   // [1, queries.size()].
-  const TwoLevelBudget budget = SplitThreadBudget(
-      queries.size(), opts.num_threads, opts.intra_query_threads);
-  const size_t workers = budget.workers;
+  const size_t workers = WorkerCount(queries.size(), opts.num_threads);
 
   // One worker body shared by every scheduling shape: a persistent Laca
-  // (warm workspace across all the queries this worker claims) plus an
-  // optional private helper pool for sharding big non-greedy rounds. The
-  // helper pool is per-worker and lives for the whole batch, so queries pay
-  // no thread spawn cost.
+  // (warm workspace across all the queries this worker claims).
   auto answer = [&](Laca& laca, size_t i) {
     results[i] = laca.Cluster(queries[i].seed, queries[i].size, opts.laca);
   };
-  auto make_worker = [&](size_t w, auto claim) {
-    return [&, w, claim] {
+  auto make_worker = [&](auto claim) {
+    return [&, claim] {
       Laca laca(graph, tnam);
-      std::optional<ThreadPool> helper;
-      const size_t threads = budget.per_worker[w];
-      if (threads > 1) {
-        helper.emplace(threads - 1);
-        laca.SetIntraQueryPool(&*helper);
-      }
       claim(laca);
     };
   };
 
   if (workers == 1) {
-    // No across-seed pool: one worker answers everything in order (still
-    // with its intra-query helpers when the budget allows).
-    make_worker(0, [&](Laca& laca) {
-      for (size_t i = 0; i < queries.size(); ++i) answer(laca, i);
-    })();
+    // No across-seed pool: the calling thread answers everything in order.
+    Laca laca(graph, tnam);
+    for (size_t i = 0; i < queries.size(); ++i) answer(laca, i);
     return results;
   }
 
@@ -70,7 +54,7 @@ std::vector<std::vector<NodeId>> BatchCluster(
       const size_t lo = w * chunk;
       const size_t hi = std::min(lo + chunk, queries.size());
       if (lo >= hi) break;
-      group.Submit(make_worker(w, [&, lo, hi](Laca& laca) {
+      group.Submit(make_worker([&, lo, hi](Laca& laca) {
         for (size_t i = lo; i < hi; ++i) answer(laca, i);
       }));
     }
@@ -79,7 +63,7 @@ std::vector<std::vector<NodeId>> BatchCluster(
     // atomic counter, so skewed seed costs rebalance instead of serializing
     // on the slowest chunk.
     for (size_t w = 0; w < workers; ++w) {
-      group.Submit(make_worker(w, [&](Laca& laca) {
+      group.Submit(make_worker([&](Laca& laca) {
         for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
              i < queries.size();
              i = next.fetch_add(1, std::memory_order_relaxed)) {

@@ -36,21 +36,12 @@ enum class BatchSchedule {
 /// Options for BatchCluster.
 struct BatchClusterOptions {
   LacaOptions laca;
-  /// Total thread budget; 0 uses the hardware concurrency. Distributed by
-  /// two-level scheduling: with more queries than threads, every thread is
-  /// an across-seed worker (one warm Laca each); with fewer queries than
-  /// threads (the few-large-seeds / big-graph regime), the surplus becomes
-  /// per-worker intra-query helper pools that shard big non-greedy rounds.
-  /// Results are bit-identical for every split.
+  /// Total thread budget; 0 uses the hardware concurrency. Caps the worker
+  /// fleet: min(num_threads, queries) across-seed workers, each answering
+  /// its queries serially on one warm Laca (see WorkerCount). Results are
+  /// bit-identical for every count.
   size_t num_threads = 0;
   BatchSchedule schedule = BatchSchedule::kDynamic;
-  /// Ceiling on the per-worker intra-query thread budget (including the
-  /// worker itself): 0 = auto (distribute the num_threads surplus), 1 =
-  /// force serial queries, k > 1 = at most k-1 helper threads per worker.
-  /// The combined fleet (workers + helpers) is always clamped to the
-  /// num_threads budget — a 16-worker batch with intra_query_threads=4 no
-  /// longer spawns 64 threads on an 8-thread budget (see SplitThreadBudget).
-  size_t intra_query_threads = 0;
 };
 
 /// Answers every query with Laca::Cluster. Results are returned in query

@@ -32,19 +32,9 @@ LacaResult Laca::ComputeBdd(NodeId seed, const LacaOptions& opts) {
 
 LacaResult Laca::ComputeBdd(NodeId seed, const LacaOptions& opts,
                             SparseVector* rwr_out) {
-  LACA_CHECK(seed < graph_.num_nodes(), "seed out of range");
   LacaResult result;
-
-  // Step 1: estimate the RWR vector pi' by diffusing the unit vector 1^(s).
-  DiffusionOptions dopts = opts.ToDiffusionOptions();
-  SparseVector pi = opts.use_adaptive
-                        ? engine_.Adaptive(SparseVector::Unit(seed), dopts,
-                                           &result.rwr_stats)
-                        : engine_.Greedy(SparseVector::Unit(seed), dopts,
-                                         &result.rwr_stats);
-  result.rwr_support = pi.Size();
-
-  FinishBddFromRwr(pi, opts, &result);
+  SparseVector pi = RwrStep(seed, opts, &result);
+  FinishBdd(pi, SnasStep(pi, opts.cancel), opts, &result);
   // Extract pi' only after Steps 2-3 consumed it, preserving its exact
   // entry order: replaying it through ComputeBddFromRwr reproduces this
   // result bit for bit (the diffusion-tier cache contract).
@@ -57,33 +47,50 @@ LacaResult Laca::ComputeBddFromRwr(NodeId seed, const SparseVector& rwr,
   LACA_CHECK(seed < graph_.num_nodes(), "seed out of range");
   LacaResult result;
   result.rwr_support = rwr.Size();
-  FinishBddFromRwr(rwr, opts, &result);
+  FinishBdd(rwr, SnasStep(rwr, opts.cancel), opts, &result);
   return result;
 }
 
-void Laca::FinishBddFromRwr(const SparseVector& pi, const LacaOptions& opts,
-                            LacaResult* result) {
+SparseVector Laca::RwrStep(NodeId seed, const LacaOptions& opts,
+                           LacaResult* result) {
+  LACA_CHECK(seed < graph_.num_nodes(), "seed out of range");
+  // Step 1: estimate the RWR vector pi' by diffusing the unit vector 1^(s).
+  const DiffusionOptions dopts = opts.ToDiffusionOptions();
+  SparseVector pi = opts.use_adaptive
+                        ? engine_.Adaptive(SparseVector::Unit(seed), dopts,
+                                           &result->rwr_stats)
+                        : engine_.Greedy(SparseVector::Unit(seed), dopts,
+                                         &result->rwr_stats);
+  result->rwr_support = pi.Size();
+  return pi;
+}
+
+SparseVector Laca::SnasStep(const SparseVector& pi,
+                            const CancelToken* cancel) {
   // Step 2: aggregate TNAM rows into psi (Eq. 12), then build the RWR-SNAS
   // vector phi'_i = (psi . z(i)) d(i) over supp(pi') (Eq. 13) — the fused
   // two-pass kernel over contiguous TNAM storage. Without a TNAM the SNAS
-  // is the identity and phi'_i = pi'_i d(i).
+  // is the identity.
+  return tnam_ != nullptr ? FusedSnasStep(*tnam_, pi, cancel)
+                          : TopologyPhi(pi);
+}
+
+SparseVector Laca::TopologyPhi(const SparseVector& pi) const {
   SparseVector phi;
-  if (tnam_ != nullptr) {
-    phi = FusedSnasStep(*tnam_, pi, opts.cancel);
-  } else {
-    for (const auto& e : pi.entries()) {
-      phi.Add(e.index, e.value * graph_.Degree(e.index));
-    }
+  for (const auto& e : pi.entries()) {
+    phi.Add(e.index, e.value * graph_.Degree(e.index));
   }
-  result->phi_l1 = phi.L1Norm();
+  return phi;
+}
+
+void Laca::FinishBdd(const SparseVector& pi, SparseVector phi,
+                     const LacaOptions& opts, LacaResult* result) {
   if (phi.Empty()) {
     // Degenerate attributes (e.g. all-zero rows near the seed): fall back to
     // the topology-only BDD so a cluster is still produced.
-    for (const auto& e : pi.entries()) {
-      phi.Add(e.index, e.value * graph_.Degree(e.index));
-    }
-    result->phi_l1 = phi.L1Norm();
+    phi = TopologyPhi(pi);
   }
+  result->phi_l1 = phi.L1Norm();
   if (phi.Empty()) {
     // pi' itself is empty: with a huge eps the all-zero vector already
     // satisfies Eq. 14 (pi(t) <= eps d(t) everywhere), so the approximate
@@ -130,15 +137,8 @@ SparseVector Laca::FusedSnasStep(const Tnam& tnam, const SparseVector& pi,
 
 LacaResult Laca::ComputeBddWithProvider(NodeId seed, const SnasProvider& snas,
                                         const LacaOptions& opts) {
-  LACA_CHECK(seed < graph_.num_nodes(), "seed out of range");
   LacaResult result;
-  DiffusionOptions dopts = opts.ToDiffusionOptions();
-  SparseVector pi = opts.use_adaptive
-                        ? engine_.Adaptive(SparseVector::Unit(seed), dopts,
-                                           &result.rwr_stats)
-                        : engine_.Greedy(SparseVector::Unit(seed), dopts,
-                                         &result.rwr_stats);
-  result.rwr_support = pi.Size();
+  SparseVector pi = RwrStep(seed, opts, &result);
 
   // A Tnam provider admits the same fused O(|supp| k) Step 2 as ComputeBdd;
   // only truly unfactorized providers pay the quadratic double loop.
@@ -158,26 +158,7 @@ LacaResult Laca::ComputeBddWithProvider(NodeId seed, const SnasProvider& snas,
       if (acc > 0.0) phi.Add(ei.index, acc * graph_.Degree(ei.index));
     }
   }
-  result.phi_l1 = phi.L1Norm();
-  if (phi.Empty()) {
-    for (const auto& e : pi.entries()) {
-      phi.Add(e.index, e.value * graph_.Degree(e.index));
-    }
-    result.phi_l1 = phi.L1Norm();
-  }
-  if (phi.Empty()) {
-    return result;  // empty pi': the zero vector satisfies Eq. 14 (see above)
-  }
-
-  DiffusionOptions bdd_opts = dopts;
-  bdd_opts.epsilon = opts.epsilon * result.phi_l1;
-  SparseVector rho = opts.use_adaptive
-                         ? engine_.Adaptive(phi, bdd_opts, &result.bdd_stats)
-                         : engine_.Greedy(phi, bdd_opts, &result.bdd_stats);
-  for (auto& e : rho.mutable_entries()) {
-    e.value /= graph_.Degree(e.index);
-  }
-  result.bdd = std::move(rho);
+  FinishBdd(pi, std::move(phi), opts, &result);
   return result;
 }
 
@@ -189,19 +170,18 @@ std::vector<NodeId> Laca::Cluster(NodeId seed, size_t size,
 std::vector<NodeId> Laca::Cluster(NodeId seed, size_t size,
                                   const LacaOptions& opts,
                                   SparseVector* rwr_out) {
-  LacaResult r = ComputeBdd(seed, opts, rwr_out);
-  std::vector<NodeId> cluster = TopKCluster(r.bdd, seed, size);
-  if (cluster.size() < size) {
-    cluster = PadWithBfs(graph_, std::move(cluster), size, seed);
-  }
-  return cluster;
+  return Extract(ComputeBdd(seed, opts, rwr_out).bdd, seed, size);
 }
 
 std::vector<NodeId> Laca::ClusterFromRwr(NodeId seed, size_t size,
                                          const SparseVector& rwr,
                                          const LacaOptions& opts) {
-  LacaResult r = ComputeBddFromRwr(seed, rwr, opts);
-  std::vector<NodeId> cluster = TopKCluster(r.bdd, seed, size);
+  return Extract(ComputeBddFromRwr(seed, rwr, opts).bdd, seed, size);
+}
+
+std::vector<NodeId> Laca::Extract(const SparseVector& bdd, NodeId seed,
+                                  size_t size) const {
+  std::vector<NodeId> cluster = TopKCluster(bdd, seed, size);
   if (cluster.size() < size) {
     cluster = PadWithBfs(graph_, std::move(cluster), size, seed);
   }

@@ -21,9 +21,6 @@ struct LacaOptions {
   double sigma = 0.0;
   /// Ablation switch (Table VI, "w/o AdaptiveDiffuse"): use GreedyDiffuse.
   bool use_adaptive = true;
-  /// Minimum support size before non-greedy rounds shard across the
-  /// intra-query pool (forwarded to DiffusionOptions; inert without one).
-  size_t min_parallel_support = 2048;
   /// Cooperative cancellation token (borrowed; null = never cancel).
   /// Forwarded to both diffusion calls and polled in the Step-2 kernel, so a
   /// deadline trips within one poll interval anywhere in Algo. 4. A tripped
@@ -32,8 +29,7 @@ struct LacaOptions {
   const CancelToken* cancel = nullptr;
 
   DiffusionOptions ToDiffusionOptions() const {
-    return DiffusionOptions{alpha, epsilon, sigma, min_parallel_support,
-                            cancel};
+    return DiffusionOptions{alpha, epsilon, sigma, cancel};
   }
 };
 
@@ -120,23 +116,40 @@ class Laca {
   /// counter witnesses the zero-allocation steady state across queries.
   const DiffusionWorkspace& workspace() const { return engine_.workspace(); }
 
-  /// Forwards the intra-query helper pool to the diffusion engine: big
-  /// non-greedy rounds shard across it (see DiffusionEngine). The pool must
-  /// be private to this Laca's calling thread and outlive its calls.
-  void SetIntraQueryPool(ThreadPool* pool) { engine_.SetIntraQueryPool(pool); }
-
  private:
+  // Algo. 4 is one path: RwrStep (Step 1), a Step-2 phi' computation, then
+  // FinishBdd (fallback and Step 3). The three BDD entry points differ only
+  // in where pi' and phi' come from, so they cannot drift apart
+  // numerically.
+
+  // Step 1: pi' from the unit vector at `seed`. Fills rwr_stats and
+  // rwr_support.
+  SparseVector RwrStep(NodeId seed, const LacaOptions& opts,
+                       LacaResult* result);
+
+  // Step 2 with this Laca's own SNAS: the fused TNAM kernel, or the
+  // identity SNAS (TopologyPhi) without a TNAM.
+  SparseVector SnasStep(const SparseVector& pi, const CancelToken* cancel);
+
   // Step 2 (Eqs. 12-13) through the fused TNAM kernels; shared by
-  // ComputeBdd and the Tnam fast path of ComputeBddWithProvider. `cancel`
+  // SnasStep and the Tnam fast path of ComputeBddWithProvider. `cancel`
   // (may be null) is polled during the phi assembly sweep.
   SparseVector FusedSnasStep(const Tnam& tnam, const SparseVector& pi,
                              const CancelToken* cancel);
 
-  // Steps 2-3 over a Step-1 vector `pi`: the single code path behind both
-  // the cold ComputeBdd and the cached ComputeBddFromRwr, so the two cannot
-  // drift apart numerically. Fills result's bdd/bdd_stats/phi_l1.
-  void FinishBddFromRwr(const SparseVector& pi, const LacaOptions& opts,
-                        LacaResult* result);
+  // The identity-SNAS phi'_i = pi'_i d(i): Step 2 without a TNAM, and the
+  // fallback when an attribute-aware phi' comes out empty.
+  SparseVector TopologyPhi(const SparseVector& pi) const;
+
+  // Falls back to TopologyPhi(pi) when `phi` is empty, then runs Step 3.
+  // Fills result's bdd/bdd_stats/phi_l1.
+  void FinishBdd(const SparseVector& pi, SparseVector phi,
+                 const LacaOptions& opts, LacaResult* result);
+
+  // The `size` largest entries of `bdd` (seed first), BFS-padded from the
+  // seed when the explored region is too small.
+  std::vector<NodeId> Extract(const SparseVector& bdd, NodeId seed,
+                              size_t size) const;
 
   const Graph& graph_;
   const Tnam* tnam_;

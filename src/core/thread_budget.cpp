@@ -5,27 +5,13 @@
 
 namespace laca {
 
-TwoLevelBudget SplitThreadBudget(size_t max_workers, size_t total_threads,
-                                 size_t intra_override) {
+size_t WorkerCount(size_t max_workers, size_t total_threads) {
   size_t total = total_threads;
   if (total == 0) {
     total = std::max(1u, std::thread::hardware_concurrency());
   }
-  TwoLevelBudget budget;
-  budget.workers = std::max<size_t>(
+  return std::max<size_t>(
       1, max_workers == 0 ? total : std::min(max_workers, total));
-  budget.per_worker.resize(budget.workers);
-  // Fair-share distribution of the whole budget: base threads each, the
-  // first `extra` workers one more. Sum == max(total, workers), and every
-  // worker gets at least itself.
-  const size_t base = std::max<size_t>(1, total / budget.workers);
-  const size_t extra = total > budget.workers ? total % budget.workers : 0;
-  for (size_t w = 0; w < budget.workers; ++w) {
-    size_t share = base + (w < extra ? 1 : 0);
-    if (intra_override > 0) share = std::min(share, intra_override);
-    budget.per_worker[w] = share;
-  }
-  return budget;
 }
 
 }  // namespace laca

@@ -1,48 +1,22 @@
-// Two-level thread-budget splitting, shared by BatchCluster and the
-// ServingEngine.
+// Worker-fleet sizing, shared by BatchCluster and the ServingEngine.
 //
-// Both systems run a fleet of across-request workers (one warm Laca each)
-// and optionally give every worker an intra-query helper pool that shards
-// big non-greedy diffusion rounds (DESIGN.md §2b/§2c). The invariant this
-// helper enforces is that the COMBINED fleet — workers plus all their
-// helpers — never exceeds the caller's total thread budget. The previous
-// BatchCluster logic returned the intra_query_threads override
-// unconditionally, so a 16-worker batch with intra_query_threads=4 ran 64
-// threads on an 8-core budget; the override is now a per-worker ceiling,
-// clamped to the worker's fair share of the total.
+// Both run a fleet of across-request workers, each owning one warm Laca and
+// answering its queries serially (DESIGN.md §2c). The thread budget caps
+// that fleet: it never holds more workers than budgeted threads, nor more
+// than the caller can keep busy.
 #ifndef LACA_CORE_THREAD_BUDGET_HPP_
 #define LACA_CORE_THREAD_BUDGET_HPP_
 
 #include <cstddef>
-#include <vector>
 
 namespace laca {
 
-/// How a total thread budget splits into across-request workers and
-/// per-worker intra-query budgets.
-struct TwoLevelBudget {
-  /// Number of across-request workers (>= 1, <= total budget).
-  size_t workers = 1;
-  /// Per-worker thread budget INCLUDING the worker itself (so 1 = serial
-  /// queries, k = the worker plus k-1 helpers). Size == workers, every entry
-  /// >= 1, and the sum never exceeds the total budget.
-  std::vector<size_t> per_worker;
-};
-
-/// Splits `total_threads` into at most `max_workers` across-request workers
-/// plus per-worker intra-query budgets.
+/// Number of across-request workers for a `total_threads` budget:
+/// min(max_workers, total_threads), never below 1.
 ///
 ///   * total_threads == 0 uses the hardware concurrency (at least 1).
-///   * max_workers == 0 means "no cap" (as many workers as the budget).
-///   * intra_override == 0 distributes the surplus automatically: workers =
-///     min(max_workers, total), each worker gets total/workers threads and
-///     the first total%workers workers one more.
-///   * intra_override >= 1 is a CEILING on each worker's budget: per-worker
-///     budget = min(override, fair share), never below 1. In particular 1
-///     forces serial queries, and an override larger than the fair share is
-///     clamped so workers x override can never exceed the total budget.
-TwoLevelBudget SplitThreadBudget(size_t max_workers, size_t total_threads,
-                                 size_t intra_override);
+///   * max_workers == 0 means "no cap" (one worker per budgeted thread).
+size_t WorkerCount(size_t max_workers, size_t total_threads);
 
 }  // namespace laca
 

@@ -18,8 +18,6 @@
 
 namespace laca {
 
-class ThreadPool;
-
 /// Parameters shared by the diffusion algorithms.
 struct DiffusionOptions {
   /// Walk probability alpha in (0, 1): the RWR stops with prob 1 - alpha at
@@ -31,18 +29,11 @@ struct DiffusionOptions {
   /// Adaptive balancing parameter sigma in [0, 1] (Algo. 2). 0 prefers
   /// non-greedy rounds; >= 1 degenerates to GreedyDiffuse.
   double sigma = 0.0;
-  /// Minimum support size before a non-greedy round is sharded across the
-  /// intra-query pool (see SetIntraQueryPool). Purely a performance knob:
-  /// sharded and serial rounds are bit-identical, so flipping mid-run is
-  /// safe. Small rounds stay serial — task dispatch would dominate.
-  size_t min_parallel_support = 2048;
   /// Cooperative cancellation token (borrowed; null = never cancel). Polled
-  /// at every round boundary and every kCancelPollOps push operations in the
-  /// serial kernels; a sharded round polls only at its boundaries (the round
-  /// is the poll interval there). A tripped token throws CancelledError; the
-  /// engine restores the workspace invariants (AbortCall) before letting it
-  /// propagate, so the arena stays as warm and flat as after a completed
-  /// call.
+  /// at every round boundary and every kCancelPollOps push operations. A
+  /// tripped token throws CancelledError; the engine restores the workspace
+  /// invariants (AbortCall) before letting it propagate, so the arena stays
+  /// as warm and flat as after a completed call.
   const CancelToken* cancel = nullptr;
 };
 
@@ -55,10 +46,6 @@ struct DiffusionStats {
   uint64_t push_work = 0;
   /// Budget consumed by non-greedy rounds (the C_tot of Algo. 2).
   double nongreedy_cost = 0.0;
-  /// vol(supp(r)) at termination, as tracked by the kernel (0 for greedy
-  /// mode, which never maintains it). Exposed so the parallel-equivalence
-  /// tests can require bit-identical volume accounting across thread counts.
-  double r_volume = 0.0;
   /// ||r||_1 recorded at the end of every iteration when tracing is enabled.
   std::vector<double> residual_trace;
   bool record_trace = false;
@@ -115,15 +102,6 @@ class DiffusionEngine {
   const DiffusionWorkspace& workspace() const { return *ws_; }
   DiffusionWorkspace* mutable_workspace() { return ws_; }
 
-  /// Sets the helper pool used to shard non-greedy rounds across threads
-  /// (the calling thread participates, so the round runs on
-  /// pool->num_threads() + 1 shards). Null restores fully serial rounds.
-  /// The pool is borrowed and must outlive the engine's calls; it must be
-  /// private to the calling thread's queries (BatchCluster hands each
-  /// worker its own). Sharded rounds are bit-identical to serial ones.
-  void SetIntraQueryPool(ThreadPool* pool) { intra_pool_ = pool; }
-  ThreadPool* intra_query_pool() const { return intra_pool_; }
-
  private:
   enum class Mode { kGreedy, kNonGreedy, kAdaptive };
   SparseVector Run(Mode mode, const SparseVector& f,
@@ -138,20 +116,9 @@ class DiffusionEngine {
                uint64_t* nongreedy_rounds, uint64_t* push_work,
                double* nongreedy_cost);
 
-  // One non-greedy round sharded over `shards` threads of the intra-query
-  // pool (drain phase over contiguous support slices, owner-merge phase over
-  // node ranges, serial k-way touch merge). Bit-identical to the serial
-  // round body for any shard count; see DESIGN.md §2b for the argument.
-  template <bool Weighted, bool TrackVolume>
-  void ShardedNonGreedyRound(const DiffusionOptions& opts, size_t shards,
-                             double* r, double* r_next, bool record_trace,
-                             double* g_total, double* scattered_l1,
-                             uint64_t* push_work);
-
   const Graph& graph_;
   DiffusionWorkspace owned_ws_;  // unused when a workspace is borrowed
   DiffusionWorkspace* ws_;
-  ThreadPool* intra_pool_ = nullptr;
   double r_volume_ = 0.0;
 };
 

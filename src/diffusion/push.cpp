@@ -36,10 +36,9 @@ QueuePushResult QueuePushImpl(const Graph& graph, const SparseVector& f,
   size_t head = 0, tail = 0, pending = 0;
   auto add_residual = [&](NodeId v, double value) {
     // Stamp-deduplicated like the DiffusionEngine kernels, so r_support is
-    // duplicate-free across every workspace client — the sharded non-greedy
-    // round relies on that to hand each support entry to exactly one drain
-    // slice. (The old r==0 && q==0 test was equivalent here but left the
-    // invariant per-kernel instead of workspace-wide.)
+    // duplicate-free across every workspace client. (The old r==0 && q==0
+    // test was equivalent here but left the invariant per-kernel instead of
+    // workspace-wide.)
     if (stamp[v] != call_stamp) {
       stamp[v] = call_stamp;
       touched.push_back(v);

@@ -16,9 +16,9 @@
 //     steady state after the first requests and then stays allocation-free —
 //     the alloc counter is exported through Stats() as the witness); after a
 //     reload, idle workers rebind to the new version off the request path;
-//   * the BatchCluster two-level thread budget (core/thread_budget.hpp):
-//     surplus threads become per-worker intra-query helper pools that shard
-//     big non-greedy diffusion rounds, bit-identically to serial;
+//   * the BatchCluster worker-count rule (core/thread_budget.hpp): the
+//     thread budget caps the fleet, and each worker answers one request at
+//     a time, serially;
 //   * a bounded admission queue with explicit backpressure: Submit() beyond
 //     max_queue_depth returns kOverloaded immediately — it never blocks and
 //     never grows the queue without bound;
@@ -137,11 +137,9 @@ struct ServeResponse {
 struct ServingOptions {
   /// Across-request worker fleet size; 0 = one worker per budgeted thread.
   size_t num_workers = 0;
-  /// Total thread budget (workers + intra-query helpers); 0 = hardware
-  /// concurrency. Split by SplitThreadBudget, like BatchCluster.
+  /// Thread budget capping the worker fleet; 0 = hardware concurrency. The
+  /// fleet is WorkerCount(num_workers, num_threads), like BatchCluster.
   size_t num_threads = 0;
-  /// Per-worker intra-query ceiling (BatchClusterOptions semantics).
-  size_t intra_query_threads = 0;
   /// Admitted-but-unclaimed request bound. Submissions beyond it are
   /// rejected with kOverloaded (never queued, never blocked).
   size_t max_queue_depth = 1024;
@@ -236,7 +234,7 @@ struct ServingStats {
   uint64_t cache_bytes = 0;
   uint64_t cache_entries = 0;
   double uptime_seconds = 0.0;
-  /// Total-latency percentiles over the retained window (last
+  /// Nearest-rank total-latency percentiles over the retained window (last
   /// `latency_window` SERVED completions — shed, cancelled, and failed
   /// requests never enter the window, so the percentiles describe what a
   /// successful caller experienced); 0 when nothing served yet.
@@ -352,7 +350,7 @@ class ServingEngine {
     std::atomic<uint64_t> alloc_events{0};
   };
 
-  void WorkerLoop(size_t w, size_t thread_budget) LACA_EXCLUDES(mu_);
+  void WorkerLoop(size_t w) LACA_EXCLUDES(mu_);
   ServeResponse Validate(const ServeRequest& request,
                          const DatasetSnapshot& snapshot,
                          size_t* tnam_index) const;

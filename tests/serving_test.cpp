@@ -1099,6 +1099,37 @@ TEST(ServingProtocolTest, StatsLineCarriesDeadlineCounters) {
   EXPECT_NE(line.find("internal=2"), std::string::npos) << line;
 }
 
+TEST_F(ServingTest, StatsP99IsNearestRankAndSeesTheWorstRequest) {
+  // Regression: p99 was window[(n-1)*99/100], the second-largest sample
+  // for n <= 100, so a fast request plus a slow one reported the fast one
+  // (and brownout's 64-entry control window could never see its worst
+  // request). Nearest rank — index ceil(0.99 n) - 1 — is the largest of two.
+  static constexpr double kDelaySeconds = 0.2;
+  ServingOptions opts = WithWorkers(1);
+  std::atomic<int> hook_calls{0};
+  opts.worker_hook = [&hook_calls] {
+    if (hook_calls.fetch_add(1) == 1) {
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(kDelaySeconds));
+    }
+  };
+  ServingEngine engine(snap_, opts);
+
+  ServeRequest req;
+  req.seed = 0;
+  req.size = 5;
+  req.timeout_ms = 0.0;
+  for (int i = 0; i < 2; ++i) {  // one fast, then one delayed
+    Admission a = engine.Submit(req);
+    ASSERT_TRUE(a.ok());
+    EXPECT_EQ(a.response.get().status, ServeStatus::kOk);
+  }
+  const ServingStats stats = engine.Stats();
+  ASSERT_EQ(stats.latency_window, 2u);
+  EXPECT_GE(stats.p99_seconds, kDelaySeconds);
+  EXPECT_LT(stats.p50_seconds, stats.p99_seconds);  // the fast request
+}
+
 TEST_F(ServingTest, BrownoutShedsOnProjectedQueueWaitAndRecovers) {
   // Phase 1: one stalled completion seeds the service-time EWMA (the
   // injected stall counts as service, like any slow worker). Phase 2: the

@@ -161,8 +161,8 @@ TEST(ThreadPoolTest, ManySmallTasksStress) {
 // Per-batch tracking (TaskGroup). Regression for the global-Wait bug: Wait()
 // used to watch the pool-wide queue and steal first_error_, so two
 // interleaved batches blocked on each other's tasks and could rethrow each
-// other's exceptions — exactly the shape two-level BatchCluster scheduling
-// produces.
+// other's exceptions — exactly the shape concurrent fan-outs on
+// SharedPool() produce.
 
 TEST(TaskGroupTest, WaitReturnsWhileAnotherBatchStillRuns) {
   // Batch A parks a task on a gate; batch B, submitted afterwards, must

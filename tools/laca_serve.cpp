@@ -33,8 +33,8 @@
 //                                              src/data/snapshot_io.hpp)
 //
 //   --workers=N      across-request worker fleet (default: thread budget)
-//   --threads=N      total thread budget incl. helpers (default: hardware)
-//   --intra=N        per-worker intra-query thread ceiling (default: auto)
+//   --threads=N      thread budget capping the worker fleet; each worker
+//                    answers one request at a time (default: hardware)
 //   --queue=N        admission queue depth; beyond it requests are rejected
 //                    with ERR code=overloaded (default 1024)
 //   --k=K[,K2,...]   TNAM dimensions to prepare; requests select one with
@@ -223,10 +223,6 @@ bool ParseArgs(int argc, char** argv, ServeCliOptions& opts) {
       if (!u64(&opts.serving.num_workers)) return FailFlag(arg, "bad count");
     } else if (key == "--threads") {
       if (!u64(&opts.serving.num_threads)) return FailFlag(arg, "bad count");
-    } else if (key == "--intra") {
-      if (!u64(&opts.serving.intra_query_threads)) {
-        return FailFlag(arg, "bad count");
-      }
     } else if (key == "--queue") {
       if (!u64(&opts.serving.max_queue_depth) ||
           opts.serving.max_queue_depth == 0) {
@@ -737,7 +733,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s (--gen=<name> | --edges=<path> [--attrs=<path>] "
                  "| --snapshot-dir=<dir>) [--workers=] [--threads=] "
-                 "[--intra=] [--queue=] [--k=] [--tnam=] [--alpha=] [--eps=] "
+                 "[--queue=] [--k=] [--tnam=] [--alpha=] [--eps=] "
                  "[--default-timeout=] [--brownout=] [--reload-retry=] "
                  "[--cache=off|full|two-tier] [--cache-bytes=] "
                  "[--cache-shards=] "
