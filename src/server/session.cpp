@@ -5,6 +5,8 @@
 #include <chrono>
 #include <cmath>
 #include <deque>
+#include <exception>
+#include <functional>
 #include <optional>
 #include <string_view>
 #include <thread>
@@ -17,6 +19,7 @@
 #endif
 
 #include "common/fault_injection.hpp"
+#include "common/mutex.hpp"
 #include "server/protocol.hpp"
 
 namespace laca {
@@ -25,9 +28,10 @@ namespace {
 using SteadyClock = std::chrono::steady_clock;
 
 // Poll granularity: the latency bound on noticing a stop flag, an expired
-// deadline, or a response that became ready while waiting for bytes (or
-// buffer space). Small enough that lockstep clients see low added latency,
-// large enough that an idle session is effectively free.
+// deadline, or a failed writer while waiting for bytes (or buffer space).
+// Responses never wait for it — the writer thread sends each one when it
+// resolves — so it only needs to be large enough that an idle session is
+// effectively free.
 constexpr int kPollTickMs = 20;
 
 double ElapsedMs(SteadyClock::time_point since) {
@@ -152,7 +156,7 @@ ReadStatus FdLineReader::Next(std::string* line) {
       continue;
     }
     if (pr == 0) {
-      return ReadStatus::kAgain;  // tick: let the session flush responses
+      return ReadStatus::kAgain;  // tick: let the session re-check its writer
     }
 
     char chunk[4096];
@@ -216,98 +220,191 @@ bool FdLineWriter::Write(const std::string& line) {
 
 #endif  // __unix__
 
-SessionResult RunSession(ServingEngine& engine, const SessionHooks& hooks,
-                         LineReader& in, LineWriter& out,
-                         const SessionLimits& limits) {
-  using End = SessionResult::End;
-  struct Pending {
-    uint64_t id = 0;
-    std::optional<std::string> ready;    // immediate response (errors)
-    std::function<std::string()> lazy;   // rendered at emission (stats)
-    std::future<ReloadOutcome> reload;   // background reload ticket
-    std::future<ServeResponse> response;
-  };
-  std::deque<Pending> pending;
-  const size_t max_pending = limits.max_pending != 0
-                                 ? limits.max_pending
-                                 : engine.num_workers() * 4 + 256;
-  SessionResult result;
-  bool muted = false;  // peer unreachable or session killed: drain silently
+namespace {
 
-  auto render_reload = [](uint64_t id, ReloadOutcome r) {
-    if (r.ok) return FormatReloadResponse(id, r.version);
+// One response slot, in request order. Exactly one member describes it.
+struct Pending {
+  uint64_t id = 0;
+  std::optional<std::string> ready;   // immediate response (errors)
+  std::function<std::string()> lazy;  // rendered at its turn (stats, health)
+  std::future<ReloadOutcome> reload;  // background reload ticket
+  std::future<ServeResponse> response;
+};
+
+bool Resolved(const Pending& p) {
+  if (p.reload.valid()) {
+    return p.reload.wait_for(std::chrono::seconds(0)) ==
+           std::future_status::ready;
+  }
+  if (p.response.valid()) {
+    return p.response.wait_for(std::chrono::seconds(0)) ==
+           std::future_status::ready;
+  }
+  return true;  // ready and lazy lines can be written at once
+}
+
+// Blocks until the slot's response exists, then renders it.
+std::string Render(Pending& p) {
+  if (p.ready) return std::move(*p.ready);
+  if (p.lazy) return p.lazy();
+  if (p.reload.valid()) {
+    const ReloadOutcome r = p.reload.get();
+    if (r.ok) return FormatReloadResponse(p.id, r.version);
     ServeResponse resp;
     resp.status = ServeStatus::kInvalid;
     resp.error = "reload failed: " + r.error;
-    return FormatResponse(id, resp);
-  };
-  auto emit_front = [&] {
-    Pending p = std::move(pending.front());
-    pending.pop_front();
-    std::string line;
-    if (p.ready) {
-      line = std::move(*p.ready);
-    } else if (p.lazy) {
-      line = p.lazy();
-    } else if (p.reload.valid()) {
-      line = render_reload(p.id, p.reload.get());
-    } else {
-      line = FormatResponse(p.id, p.response.get());
-    }
-    if (!muted) out.Write(line);  // futures are resolved either way
-  };
-  auto front_ready = [&]() -> bool {
-    const Pending& p = pending.front();
-    if (p.ready || p.lazy) return true;
-    if (p.reload.valid()) {
-      return p.reload.wait_for(std::chrono::seconds(0)) ==
-             std::future_status::ready;
-    }
-    return p.response.wait_for(std::chrono::seconds(0)) ==
-           std::future_status::ready;
-  };
-  auto flush_ready = [&](bool all) {
-    while (!pending.empty()) {
-      if (!all && !front_ready()) break;
-      emit_front();
-    }
-  };
+    return FormatResponse(p.id, resp);
+  }
+  return FormatResponse(p.id, p.response.get());
+}
 
+// Waits out the slot's work without rendering it (the muted drain).
+void Consume(const Pending& p) {
+  if (p.reload.valid()) p.reload.wait();
+  if (p.response.valid()) p.response.wait();
+}
+
+// Everything a session's reader and its writer thread share. A slot counts
+// against `capacity` from Push until the writer releases it after writing
+// (or dropping) its response, so the capacity bounds unwritten responses.
+// `muted` is the one lock-free flag: either side raises it to stop all
+// further writes (the peer is gone, the session was killed, or the writer
+// failed), and the reader polls it to notice a failed writer.
+class PendingQueue {
+ public:
+  explicit PendingQueue(size_t capacity) : capacity_(capacity) {}
+
+  /// Reader: appends a slot, blocking while `capacity` are unwritten.
+  void Push(Pending p) LACA_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    while (unwritten_ >= capacity_) cv_.Wait(mu_);
+    items_.push_back(std::move(p));
+    ++unwritten_;
+    cv_.NotifyAll();
+  }
+
+  /// Reader: no more slots; the writer exits once it has drained the rest.
+  void Close() LACA_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    closed_ = true;
+    cv_.NotifyAll();
+  }
+
+  /// Writer: takes the oldest slot, blocking while none is queued. False
+  /// once the queue is closed and empty.
+  bool Pop(Pending* p) LACA_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    while (items_.empty() && !closed_) cv_.Wait(mu_);
+    return PopFrontLocked(p);
+  }
+
+  /// Writer: takes the oldest slot only if its response already exists.
+  bool PopResolved(Pending* p) LACA_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    return !items_.empty() && Resolved(items_.front()) && PopFrontLocked(p);
+  }
+
+  /// Writer: frees `n` popped slots whose responses were written or dropped.
+  void Release(size_t n) LACA_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    unwritten_ -= n;
+    cv_.NotifyAll();
+  }
+
+  void Mute() { muted_.store(true); }
+  bool muted() const { return muted_.load(); }
+
+ private:
+  bool PopFrontLocked(Pending* p) LACA_REQUIRES(mu_) {
+    if (items_.empty()) return false;
+    *p = std::move(items_.front());
+    items_.pop_front();
+    return true;
+  }
+
+  const size_t capacity_;
+  Mutex mu_;
+  CondVar cv_;
+  std::deque<Pending> items_ LACA_GUARDED_BY(mu_);
+  size_t unwritten_ LACA_GUARDED_BY(mu_) = 0;
+  bool closed_ LACA_GUARDED_BY(mu_) = false;
+  std::atomic<bool> muted_{false};
+};
+
+// Bounds one coalesced Write: a backlog of resolved responses goes out in
+// socket-buffer-sized calls, so --write-timeout stays a budget for about
+// one buffer of bytes rather than for the whole backlog.
+constexpr size_t kMaxCoalescedBytes = 64 * 1024;
+
+// The writer thread. Writes the oldest response the moment it resolves,
+// with every already-resolved successor in the same Write call. After a
+// failed write, a kill, or an exception it writes nothing more but still
+// waits out every queued future, so admitted work is never abandoned; an
+// exception is handed to RunSession through `error`.
+void WriteResponses(PendingQueue& queue, LineWriter& out,
+                    std::exception_ptr* error) {
+  Pending p;
+  size_t held = 0;  // popped slots not yet released
+  try {
+    while (!queue.muted() && queue.Pop(&p)) {
+      held = 1;
+      std::string batch = Render(p);
+      while (batch.size() < kMaxCoalescedBytes && queue.PopResolved(&p)) {
+        ++held;
+        batch.push_back('\n');
+        batch += Render(p);
+      }
+      if (!queue.muted() && !out.Write(batch)) queue.Mute();
+      queue.Release(std::exchange(held, 0));
+    }
+  } catch (...) {
+    *error = std::current_exception();
+    queue.Mute();
+    queue.Release(held);
+  }
+  while (queue.Pop(&p)) {
+    Consume(p);
+    queue.Release(1);
+  }
+}
+
+// The session's reading loop: turns request lines into queued slots until
+// the input ends, a bound trips, or the writer goes quiet.
+SessionResult ReadRequests(ServingEngine& engine, const SessionHooks& hooks,
+                           LineReader& in, PendingQueue& queue) {
+  using End = SessionResult::End;
+  SessionResult result;
   std::string line;
   for (;;) {
-    const ReadStatus rs = in.Next(&line);
-    if (rs == ReadStatus::kAgain) {
-      // Idle tick: emit whatever became ready so a client waiting in
-      // request/response lockstep gets its answer without sending more.
-      flush_ready(/*all=*/false);
-      if (!muted && !out.ok()) {
-        muted = true;
-        result.end = End::kWriteClosed;
-        break;
-      }
-      continue;
+    if (queue.muted()) {
+      result.end = End::kWriteClosed;  // peer unreachable: stop reading
+      return result;
     }
+    const ReadStatus rs = in.Next(&line);
+    if (rs == ReadStatus::kAgain) continue;  // tick: re-check the writer
     if (rs == ReadStatus::kEof) {
       result.end = End::kEof;
-      break;
+      return result;
     }
     if (rs == ReadStatus::kTimeout) {
-      // Earlier ids flush first so the idless timeout line cannot appear
-      // to belong to a request that was already admitted.
+      // Queued behind every earlier id, so the idless timeout line cannot
+      // appear to belong to a request that was already admitted.
       result.end = End::kTimeout;
-      flush_ready(/*all=*/true);
-      if (!muted) out.Write("ERR read_timeout");
+      Pending p;
+      p.ready = "ERR read_timeout";
+      queue.Push(std::move(p));
       return result;
     }
     if (rs == ReadStatus::kOverlong) {
       result.end = End::kOverlong;
-      const uint64_t id = ++result.requests;  // the oversized line's id
-      flush_ready(/*all=*/true);
+      Pending p;
+      p.id = ++result.requests;  // the oversized line's id
       ServeResponse resp;
       resp.status = ServeStatus::kInvalid;
       resp.error = "request line exceeds " +
                    std::to_string(in.max_line_bytes()) + " bytes";
-      if (!muted) out.Write(FormatResponse(id, resp));
+      p.ready = FormatResponse(p.id, resp);
+      queue.Push(std::move(p));
       return result;
     }
 
@@ -319,9 +416,9 @@ SessionResult RunSession(ServingEngine& engine, const SessionHooks& hooks,
 
     if (std::shared_ptr<FaultInjector> fi = GlobalFaultInjector();
         fi != nullptr && fi->ShouldFire(FaultSite::kSessionKill)) {
-      muted = true;  // as if the peer vanished: no more reads or writes
+      queue.Mute();  // as if the peer vanished: no more reads or writes
       result.end = End::kKilled;
-      break;
+      return result;
     }
 
     const uint64_t id = ++result.requests;
@@ -385,20 +482,37 @@ SessionResult RunSession(ServingEngine& engine, const SessionHooks& hooks,
         break;
       }
     }
-    pending.push_back(std::move(p));
-    flush_ready(/*all=*/false);
-    if (pending.size() >= max_pending) emit_front();  // blocks on the oldest
-    if (!muted && !out.ok()) {
-      muted = true;  // peer disconnected; drain below, then close
-      result.end = End::kWriteClosed;
-      break;
-    }
+    queue.Push(std::move(p));
     if (parsed.kind == ParsedLine::Kind::kShutdown) {
       result.end = End::kShutdown;
-      break;
+      return result;
     }
   }
-  flush_ready(/*all=*/true);
+}
+
+}  // namespace
+
+SessionResult RunSession(ServingEngine& engine, const SessionHooks& hooks,
+                         LineReader& in, LineWriter& out,
+                         const SessionLimits& limits) {
+  PendingQueue queue(limits.max_pending != 0 ? limits.max_pending
+                                             : engine.num_workers() * 4 + 256);
+  std::exception_ptr writer_error;
+  // Throws std::system_error if the thread cannot start; nothing has been
+  // read yet, so no admitted work is lost.
+  std::thread writer(WriteResponses, std::ref(queue), std::ref(out),
+                     &writer_error);
+  SessionResult result;
+  try {
+    result = ReadRequests(engine, hooks, in, queue);
+  } catch (...) {
+    queue.Close();
+    writer.join();
+    throw;
+  }
+  queue.Close();
+  writer.join();
+  if (writer_error) std::rethrow_exception(writer_error);
   return result;
 }
 

@@ -6,10 +6,12 @@
 // tests against the real session loop, not a re-implementation.
 //
 // The session reads protocol lines (server/protocol.hpp) through a
-// LineReader and emits exactly one response line per request through a
-// LineWriter, strictly in request order; a bounded pending window keeps
-// reading ahead of the slowest in-flight request. The reader enforces the
-// untrusted-input bounds:
+// LineReader on the calling thread and emits exactly one response line per
+// request through a LineWriter, strictly in request order, from a writer
+// thread that sends each response the moment it resolves (together with
+// any already-resolved successors, in one Write call). A bounded window of
+// unwritten responses lets the reader run ahead of the slowest in-flight
+// request. The reader enforces the untrusted-input bounds:
 //
 //   * a hard cap on request-line bytes — an overlong line gets a tagged
 //     `ERR ... code=invalid msg=request line exceeds N bytes` and the
@@ -47,8 +49,8 @@ namespace laca {
 /// Outcome of one LineReader::Next call.
 enum class ReadStatus : uint8_t {
   kLine,      ///< `line` holds the next line, terminator stripped
-  kAgain,     ///< no complete line yet; the session flushes ready
-              ///< responses and calls Next again (tick-driven readers)
+  kAgain,     ///< no complete line yet; the session checks its writer
+              ///< and calls Next again (tick-driven readers)
   kEof,       ///< orderly end of stream (or stop flag raised)
   kOverlong,  ///< the line exceeded max_line_bytes before its newline
   kTimeout,   ///< a read or idle deadline expired
@@ -70,6 +72,9 @@ class LineReader {
 /// Sink for response lines. Write() appends the newline and reports false
 /// once the peer is unreachable (or its stall budget is spent); the session
 /// then drains its in-flight work without emitting and closes cleanly.
+/// `line` may hold several '\n'-joined responses: the session coalesces
+/// every response that is already resolved into one call. Only the
+/// session's writer thread calls a writer.
 class LineWriter {
  public:
   virtual ~LineWriter() = default;
@@ -122,8 +127,8 @@ struct ReadDeadlines {
 /// alike — the TCP sessions and the sanitizer tests share this code). The
 /// line deadline anchors at the first buffered byte of the current line,
 /// so a drip-feeding client cannot reset it by staying barely alive; the
-/// anchors persist across the kAgain ticks that let the session flush
-/// responses to a client waiting in request/response lockstep.
+/// anchors persist across kAgain ticks. A tick bounds how late the stop
+/// flag and a failed writer are noticed; responses never wait for one.
 class FdLineReader : public LineReader {
  public:
   FdLineReader(int fd, size_t max_line_bytes, ReadDeadlines deadlines,
@@ -144,9 +149,9 @@ class FdLineReader : public LineReader {
 
 /// write(2)-backed writer for TCP sessions: retries EINTR, EAGAIN, and
 /// short writes, turns EPIPE/ECONNRESET into a clean `false`, and spends at
-/// most write_timeout_ms per line waiting for the peer to drain its buffer
-/// (0 = wait forever). The descriptor should be nonblocking so the budget
-/// is enforceable.
+/// most write_timeout_ms per Write call waiting for the peer to drain its
+/// buffer (0 = wait forever). The descriptor should be nonblocking so the
+/// budget is enforceable.
 class FdLineWriter : public LineWriter {
  public:
   explicit FdLineWriter(int fd, double write_timeout_ms = 0.0)
@@ -174,8 +179,8 @@ struct SessionHooks {
 };
 
 struct SessionLimits {
-  /// Responses the session will buffer ahead of the slowest in-flight
-  /// request before blocking the read loop. 0 = workers * 4 + 256.
+  /// Responses not yet written that the session holds before its reader
+  /// blocks on queue space. 0 = workers * 4 + 256.
   size_t max_pending = 0;
 };
 
@@ -192,10 +197,16 @@ struct SessionResult {
   uint64_t requests = 0;  ///< request lines consumed (ids issued)
 };
 
-/// Runs one session to completion. Responses are emitted strictly in
-/// request order; `stats`, `health`, and `reload` responses are rendered at
-/// emission time. Whatever ends the session, every admitted future is
-/// drained before returning.
+/// Runs one session to completion: the reading loop on the calling thread,
+/// the writes on one writer thread it starts and joins. Responses are
+/// emitted strictly in request order; `stats`, `health`, and `reload`
+/// responses are rendered at emission time. Whatever ends the session,
+/// every admitted future is drained before returning.
+///
+/// Throws std::system_error when the writer thread cannot start (before any
+/// line is read). An exception that escapes the writer (a throwing hook,
+/// std::bad_alloc while rendering) mutes the session and is rethrown here
+/// after the drain, so it never outlives admitted work.
 SessionResult RunSession(ServingEngine& engine, const SessionHooks& hooks,
                          LineReader& in, LineWriter& out,
                          const SessionLimits& limits = {});

@@ -13,15 +13,20 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
+#include <cstdio>
 #include <cstring>
+#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -128,12 +133,16 @@ class TestClient {
 };
 
 /// Owns one end of a socketpair and runs RunSession over it on a thread.
+/// A non-null `writer` replaces the socket writer, so a test can inspect
+/// what the session wrote (the client then reads nothing but EOF).
 class SessionUnderTest {
  public:
   SessionUnderTest(ServingEngine& engine, size_t max_line_bytes,
                    ReadDeadlines deadlines,
                    const std::atomic<bool>* stop = nullptr,
-                   double write_timeout_ms = 0.0) {
+                   double write_timeout_ms = 0.0, SessionHooks hooks = {},
+                   LineWriter* writer = nullptr)
+      : hooks_(std::move(hooks)) {
     int fds[2];
     EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
     server_fd_ = fds[0];
@@ -142,10 +151,17 @@ class SessionUnderTest {
     reader_ = std::make_unique<FdLineReader>(server_fd_, max_line_bytes,
                                              deadlines, stop);
     writer_ = std::make_unique<FdLineWriter>(server_fd_, write_timeout_ms);
-    result_ = std::async(std::launch::async, [this, &engine] {
-      SessionResult r = RunSession(engine, SessionHooks{}, *reader_, *writer_);
-      ::close(server_fd_);  // the session is over; the client sees EOF
-      return r;
+    LineWriter* out = writer != nullptr ? writer : writer_.get();
+    result_ = std::async(std::launch::async, [this, &engine, out] {
+      // The session is over however it ended; the client sees EOF.
+      try {
+        SessionResult r = RunSession(engine, hooks_, *reader_, *out);
+        ::close(server_fd_);
+        return r;
+      } catch (...) {
+        ::close(server_fd_);
+        throw;
+      }
     });
   }
 
@@ -154,10 +170,11 @@ class SessionUnderTest {
 
   ~SessionUnderTest() {
     if (client_fd_ >= 0) ::close(client_fd_);
-    if (result_.valid()) result_.get();
+    if (result_.valid()) result_.wait();
   }
 
  private:
+  const SessionHooks hooks_;
   int server_fd_ = -1;
   int client_fd_ = -1;
   std::unique_ptr<FdLineReader> reader_;
@@ -167,6 +184,40 @@ class SessionUnderTest {
 
 bool StartsWith(const std::string& s, const std::string& prefix) {
   return s.rfind(prefix, 0) == 0;
+}
+
+/// A LineWriter that keeps every Write call's payload, to count the calls.
+class RecordingWriter : public LineWriter {
+ public:
+  bool Write(const std::string& line) override {
+    std::lock_guard<std::mutex> lock(m_);
+    writes_.push_back(line);
+    return true;
+  }
+  std::vector<std::string> writes() {
+    std::lock_guard<std::mutex> lock(m_);
+    return writes_;
+  }
+
+ private:
+  std::mutex m_;
+  std::vector<std::string> writes_;
+};
+
+std::vector<std::string> SplitLines(const std::vector<std::string>& writes) {
+  std::vector<std::string> lines;
+  for (const std::string& w : writes) {
+    std::istringstream in(w);
+    for (std::string l; std::getline(in, l);) lines.push_back(l);
+  }
+  return lines;
+}
+
+ReloadOutcome Reloaded(uint64_t version) {
+  ReloadOutcome r;
+  r.ok = true;
+  r.version = version;
+  return r;
 }
 
 class SessionTest : public ::testing::Test {
@@ -202,8 +253,9 @@ std::shared_ptr<const DatasetSnapshot> SessionTest::snap_;
 
 TEST_F(SessionTest, LockstepClientGetsEachResponseWithoutPipelining) {
   // The strictest client shape: one request, then a blocking read for its
-  // response before sending anything else. Only the kAgain tick path can
-  // serve it — a session that flushes only on the next input line hangs.
+  // response before sending anything else. The writer thread sends each
+  // response when it resolves — a session that writes only when the next
+  // input line (or a read tick) wakes it would stall this client.
   ServingEngine engine(snap_, WithWorkers(2));
   SessionUnderTest session(engine, 1 << 20, ReadDeadlines{});
   TestClient client(session.ReleaseClientFd());
@@ -219,6 +271,185 @@ TEST_F(SessionTest, LockstepClientGetsEachResponseWithoutPipelining) {
   SessionResult r = session.Join();
   EXPECT_EQ(r.end, SessionResult::End::kEof);
   EXPECT_EQ(r.requests, 3u);
+}
+
+TEST_F(SessionTest, StdioSessionAnswersALockstepClient) {
+  // stdin mode over a pipe pair: the reader blocks in fgets for the next
+  // line, so only a writer that does not depend on the reader can answer
+  // a client that waits for its response with stdin still open.
+  ServingEngine engine(snap_, WithWorkers(2));
+  int req[2];
+  int resp[2];
+  ASSERT_EQ(::pipe(req), 0);
+  ASSERT_EQ(::pipe(resp), 0);
+  std::FILE* server_in = ::fdopen(req[0], "r");
+  std::FILE* server_out = ::fdopen(resp[1], "w");
+  ASSERT_NE(server_in, nullptr);
+  ASSERT_NE(server_out, nullptr);
+  std::future<SessionResult> done =
+      std::async(std::launch::async, [&engine, server_in, server_out] {
+        StdioLineReader in(server_in, 1 << 20);
+        StdioLineWriter out(server_out);
+        SessionResult r = RunSession(engine, SessionHooks{}, in, out);
+        std::fclose(server_in);
+        std::fclose(server_out);  // the client sees EOF
+        return r;
+      });
+  TestClient requests(req[1]);
+  TestClient responses(resp[0]);
+
+  requests.Send("0 5\n");  // and keep the write end open
+  EXPECT_TRUE(StartsWith(responses.ReadLine(), "OK id=1 "));
+
+  requests.Close();  // EOF ends the session
+  EXPECT_EQ(responses.ReadLine(), "");
+  SessionResult r = done.get();
+  EXPECT_EQ(r.end, SessionResult::End::kEof);
+  EXPECT_EQ(r.requests, 1u);
+}
+
+TEST_F(SessionTest, ResolvedResponseIsWrittenAtOnceToASilentClient) {
+  // A reload ticket the test resolves by hand, after the session has read
+  // the line and gone back to waiting for input. The response must reach
+  // a client that sends nothing more without waiting for a read tick.
+  constexpr size_t kReps = 20;
+  std::mutex m;
+  std::condition_variable cv;
+  std::deque<std::promise<ReloadOutcome>> tickets;
+  SessionHooks hooks;
+  hooks.request_reload = [&m, &cv, &tickets] {
+    std::promise<ReloadOutcome> ticket;
+    std::future<ReloadOutcome> f = ticket.get_future();
+    {
+      std::lock_guard<std::mutex> lock(m);
+      tickets.push_back(std::move(ticket));
+    }
+    cv.notify_all();
+    return f;
+  };
+  ServingEngine engine(snap_, WithWorkers(1));
+  SessionUnderTest session(engine, 1 << 20, ReadDeadlines{}, nullptr, 0.0,
+                           hooks);
+  TestClient client(session.ReleaseClientFd());
+
+  std::vector<double> waits_ms;
+  for (size_t i = 0; i < kReps; ++i) {
+    client.Send("reload\n");
+    std::promise<ReloadOutcome> ticket;
+    {
+      std::unique_lock<std::mutex> lock(m);
+      cv.wait(lock, [&tickets] { return !tickets.empty(); });
+      ticket = std::move(tickets.front());
+      tickets.pop_front();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const auto start = std::chrono::steady_clock::now();
+    ticket.set_value(Reloaded(i + 2));
+    EXPECT_EQ(client.ReadLine(), "OK id=" + std::to_string(i + 1) +
+                                     " reload version=" +
+                                     std::to_string(i + 2));
+    waits_ms.push_back(std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - start)
+                           .count());
+  }
+  std::sort(waits_ms.begin(), waits_ms.end());
+  const double median = (waits_ms[kReps / 2 - 1] + waits_ms[kReps / 2]) / 2;
+  EXPECT_LT(median, 5.0) << "resolved responses wait for a read tick";
+
+  client.Close();
+  EXPECT_EQ(session.Join().requests, kReps);
+}
+
+TEST_F(SessionTest, ResolvedSuccessorsShareOneWrite) {
+  // One request parks the only worker; ten reloads queue behind it, each
+  // already resolved. When the request finishes, all eleven responses are
+  // resolved and go out in request order in one Write call (two if the
+  // last reload was still on its way into the queue).
+  constexpr size_t kReloads = 10;
+  Gate gate;
+  ServingOptions opts = WithWorkers(1);
+  opts.worker_hook = [&gate] {
+    gate.Arrive();
+    gate.WaitUntilOpen();
+  };
+  ServingEngine engine(snap_, opts);
+  std::atomic<size_t> reload_calls{0};
+  SessionHooks hooks;
+  hooks.request_reload = [&reload_calls] {
+    std::promise<ReloadOutcome> ticket;
+    ticket.set_value(Reloaded(++reload_calls + 1));
+    return ticket.get_future();
+  };
+  RecordingWriter recorder;
+  SessionUnderTest session(engine, 1 << 20, ReadDeadlines{}, nullptr, 0.0,
+                           hooks, &recorder);
+  TestClient client(session.ReleaseClientFd());
+
+  client.Send("0 5\n");
+  gate.AwaitArrivals(1);  // the worker holds request 1
+  for (size_t i = 0; i < kReloads; ++i) client.Send("reload\n");
+  while (reload_calls.load() < kReloads) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  gate.Open();
+  client.Close();
+  SessionResult r = session.Join();
+  EXPECT_EQ(r.end, SessionResult::End::kEof);
+  EXPECT_EQ(r.requests, kReloads + 1);
+
+  const std::vector<std::string> writes = recorder.writes();
+  EXPECT_LE(writes.size(), 2u) << "resolved responses were not coalesced";
+  const std::vector<std::string> lines = SplitLines(writes);
+  ASSERT_EQ(lines.size(), kReloads + 1);
+  EXPECT_TRUE(StartsWith(lines[0], "OK id=1 ")) << lines[0];
+  for (size_t i = 1; i <= kReloads; ++i) {
+    EXPECT_EQ(lines[i], "OK id=" + std::to_string(i + 1) +
+                            " reload version=" + std::to_string(i + 1));
+  }
+}
+
+TEST_F(SessionTest, WriterExceptionSurfacesOnlyAfterAdmittedWorkDrains) {
+  // A stats hook that throws on the writer thread. The session must not
+  // abort the process or abandon the request queued behind the stats line:
+  // RunSession rethrows only once every admitted request has completed.
+  Gate gate;
+  ServingOptions opts = WithWorkers(1);
+  opts.worker_hook = [&gate] {
+    gate.Arrive();
+    gate.WaitUntilOpen();
+    // Slow enough that a session returning before its drain would see
+    // request 3 still running.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  };
+  ServingEngine engine(snap_, opts);
+  SessionHooks hooks;
+  hooks.stats_line = []() -> std::string {
+    throw std::runtime_error("stats renderer failed");
+  };
+  SessionUnderTest session(engine, 1 << 20, ReadDeadlines{}, nullptr, 0.0,
+                           hooks);
+  TestClient client(session.ReleaseClientFd());
+
+  client.Send("0 5\nstats\n0 5\n");
+  gate.AwaitArrivals(1);
+  while (engine.Stats().admitted < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  gate.Open();
+  // Nothing is written from the failed render on: at most request 1's
+  // response, unless it was coalesced with the stats line.
+  size_t lines = 0;
+  for (std::string l = client.ReadLine(); !l.empty(); l = client.ReadLine()) {
+    EXPECT_TRUE(StartsWith(l, "OK id=1 ")) << l;
+    ++lines;
+  }
+  EXPECT_LE(lines, 1u);
+  EXPECT_THROW(session.Join(), std::runtime_error);
+
+  ServingStats stats = engine.Stats();
+  EXPECT_EQ(stats.admitted, 2u);
+  EXPECT_EQ(stats.completed, stats.admitted);
+  EXPECT_EQ(stats.in_flight, 0u);
 }
 
 TEST_F(SessionTest, SlowLorisIsClosedWithinTheLineBudget) {

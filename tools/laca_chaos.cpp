@@ -781,8 +781,9 @@ int RunChaos(const ChaosOptions& opts) {
     storm_over.store(true);
     sampler.join();
 
-    // 16 sessions + 2 workers + accept/reload/main + the TNAM build pool:
-    // a leak under the reconnect-heavy storm would blow far past this.
+    // 16 sessions x 2 threads (reader + writer) + 2 workers +
+    // accept/reload/main + the TNAM build pool, about 41 at worst: a leak
+    // under the reconnect-heavy storm would blow far past this.
     verdict.Check(verdict.Count("max_server_threads") <= 48,
                   "storm: server thread count exceeded its bound: " +
                       std::to_string(verdict.Count("max_server_threads")));

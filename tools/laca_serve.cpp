@@ -70,9 +70,10 @@
 //                    byte; expiry closes the session (default 10000; 0=off)
 //   --idle-timeout=MS   budget for the next request's first byte
 //                    (default 0 = wait forever)
-//   --write-timeout=MS  per-response budget for the peer to drain its
-//                    buffer; expiry closes the session (default 10000;
-//                    0 = wait forever)
+//   --write-timeout=MS  budget for the peer to drain each write (one
+//                    response, or a run of already-resolved responses
+//                    sent together); expiry closes the session (default
+//                    10000; 0 = wait forever)
 //   --cache=MODE     versioned result cache + single-flight coalescing
 //                    (DESIGN.md §13): `off`, `full` (final clusters only),
 //                    or `two-tier` (clusters + reusable Step-1 diffusion
@@ -113,6 +114,7 @@
 #ifdef __unix__
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -656,6 +658,9 @@ int RunTcpServer(ServingEngine& engine, ReloadManager& reloads,
       ShedConnection(fd, engine);  // polite ERR busy + close, no thread
       continue;
     }
+    // Responses are small and written the moment they resolve; Nagle would
+    // hold each one until the client's delayed ACK.
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     conns.Add(fd);
     // A shutdown that raced this accept already ran ShutdownReads; make
     // sure this connection does not outlive it either way.
@@ -666,7 +671,17 @@ int RunTcpServer(ServingEngine& engine, ReloadManager& reloads,
       SetNonBlocking(fd);
       FdLineReader in(fd, cli.max_line_bytes, deadlines, &g_stop);
       FdLineWriter out(fd, cli.write_timeout_ms);
-      const SessionResult result = RunSession(engine, hooks, in, out);
+      SessionResult result;
+      try {
+        result = RunSession(engine, hooks, in, out);
+      } catch (const std::exception& e) {
+        // The writer thread could not start, or a hook threw; RunSession
+        // drained the session's admitted work first. Close this one
+        // connection and keep serving the others.
+        std::fprintf(stderr, "laca_serve: session failed: %s\n", e.what());
+      } catch (...) {
+        std::fprintf(stderr, "laca_serve: session failed\n");
+      }
       // Deregister BEFORE the close releases the descriptor number: a new
       // connection could otherwise reuse it between close and Remove, and
       // Remove would deregister the new session's live socket.
@@ -701,8 +716,9 @@ int RunTcpServer(ServingEngine& engine, ReloadManager& reloads,
     std::fprintf(stderr, "laca_serve: stop signal — draining sessions\n");
   }
   {
-    // Sessions notice g_stop within one reader tick; a protocol shutdown
-    // already EOF'd them via ShutdownReads. Either way, wait them out.
+    // Each session's reader notices g_stop within one tick (a protocol
+    // shutdown already EOF'd them via ShutdownReads); its writer then sends
+    // every admitted response before the session ends. Wait them out.
     MutexLock lock(done_mu);
     while (active.load() != 0) done_cv.Wait(done_mu);
   }
