@@ -23,12 +23,13 @@ void DiffusionWorkspace::Bind(const Graph& graph) {
     r_alt_.assign(n, 0.0);
     active_r_ = 0;
     q_.assign(n, 0.0);
+    s_.resize(n);
     queued_.assign(n, 0);
     stamp_.assign(n, 0);
     call_stamp_ = 0;
     inv_degree_.resize(n);
     queue_ring_.resize(n);
-    alloc_events_ += 7;
+    alloc_events_ += 8;
     // Support lists are bounded by n (the stamp array dedupes appends), so
     // one up-front reservation makes every later call allocation-free.
     Reserve(r_support_, n);

@@ -81,6 +81,10 @@ class DiffusionWorkspace {
   double* r_other() { return active_r_ == 0 ? r_alt_.data() : r_.data(); }
   void SwapR() { active_r_ ^= 1; }
   double* q() { return q_.data(); }
+  /// Per-node shares s_v = alpha r_v / d(v) of a pull round. Each pull round
+  /// writes every entry before reading any, so no invariant holds between
+  /// rounds and nothing resets it.
+  double* s() { return s_.data(); }
   const double* inv_degree() const { return inv_degree_.data(); }
   uint8_t* queued() { return queued_.data(); }
 
@@ -111,7 +115,7 @@ class DiffusionWorkspace {
   template <typename T>
   void Reserve(std::vector<T>& buf, size_t capacity);
 
-  std::vector<double> r_, r_alt_, q_;
+  std::vector<double> r_, r_alt_, q_, s_;
   std::vector<double> inv_degree_;
   int active_r_ = 0;
   std::vector<uint8_t> queued_;

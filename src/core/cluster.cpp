@@ -1,7 +1,7 @@
 #include "core/cluster.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <cstdint>
 #include <unordered_set>
 
 #include "common/error.hpp"
@@ -11,15 +11,37 @@ namespace laca {
 std::vector<NodeId> TopKCluster(const SparseVector& scores, NodeId seed,
                                 size_t size) {
   LACA_CHECK(size >= 1, "cluster size must be >= 1");
-  SparseVector sorted = scores;
-  sorted.SortByValueDesc();
+  SparseVector ranked = scores;
+  std::vector<SparseVector::Entry>& entries = ranked.mutable_entries();
+  // Diffusion results arrive strictly increasing by index, and on such input
+  // Compact() only drops exact zeros.
+  const bool increasing =
+      std::adjacent_find(entries.begin(), entries.end(),
+                         [](const auto& a, const auto& b) {
+                           return a.index >= b.index;
+                         }) == entries.end();
+  if (increasing) {
+    std::erase_if(entries, [](const auto& e) { return e.value == 0.0; });
+  } else {
+    ranked.Compact();
+  }
+  // The order of SortByValueDesc(): value descending, index ascending. It is
+  // strict on compacted entries, so selecting the first `size` and sorting
+  // only them yields the same prefix as sorting everything. `size` entries
+  // always hold size - 1 non-seed nodes, which is all the loop below takes.
+  auto by_rank = [](const SparseVector::Entry& a,
+                    const SparseVector::Entry& b) {
+    if (a.value != b.value) return a.value > b.value;
+    return a.index < b.index;
+  };
+  const auto top = entries.begin() + std::min(size, entries.size());
+  std::nth_element(entries.begin(), top, entries.end(), by_rank);
+  std::sort(entries.begin(), top, by_rank);
   std::vector<NodeId> cluster;
   cluster.reserve(size);
   cluster.push_back(seed);
-  for (const auto& e : sorted.entries()) {
-    if (cluster.size() >= size) break;
-    if (e.index == seed) continue;
-    cluster.push_back(e.index);
+  for (auto it = entries.begin(); it != top && cluster.size() < size; ++it) {
+    if (it->index != seed) cluster.push_back(it->index);
   }
   return cluster;
 }
@@ -27,26 +49,29 @@ std::vector<NodeId> TopKCluster(const SparseVector& scores, NodeId seed,
 std::vector<NodeId> PadWithBfs(const Graph& graph, std::vector<NodeId> cluster,
                                size_t size, NodeId seed) {
   if (cluster.size() >= size) return cluster;
-  std::unordered_set<NodeId> in(cluster.begin(), cluster.end());
-  std::deque<NodeId> queue;
+  const NodeId n = graph.num_nodes();
+  LACA_CHECK(seed < n, "seed out of range");
+  // Every cluster node is marked visited before the BFS starts, and every
+  // node it visits joins the cluster, so one mark answers both questions.
+  std::vector<uint8_t> visited(n, 0);
+  std::vector<NodeId> queue;
+  queue.reserve(std::min<size_t>(size, n) + 1);
   // Start the BFS frontier from the existing cluster (seed first).
   queue.push_back(seed);
   for (NodeId v : cluster) {
+    LACA_CHECK(v < n, "cluster node out of range");
     if (v != seed) queue.push_back(v);
+    visited[v] = 1;
   }
-  std::unordered_set<NodeId> visited(cluster.begin(), cluster.end());
-  visited.insert(seed);
-  while (!queue.empty() && cluster.size() < size) {
-    NodeId u = queue.front();
-    queue.pop_front();
-    for (NodeId v : graph.Neighbors(u)) {
-      if (visited.insert(v).second) {
-        queue.push_back(v);
-        if (in.insert(v).second) {
-          cluster.push_back(v);
-          if (cluster.size() >= size) break;
-        }
-      }
+  visited[seed] = 1;
+  for (size_t head = 0; head < queue.size() && cluster.size() < size;
+       ++head) {
+    for (NodeId v : graph.Neighbors(queue[head])) {
+      if (visited[v]) continue;
+      visited[v] = 1;
+      queue.push_back(v);
+      cluster.push_back(v);
+      if (cluster.size() >= size) break;
     }
   }
   return cluster;

@@ -6,6 +6,17 @@
 
 namespace laca {
 
+namespace {
+
+// A non-greedy round whose starting vol(r) is at least vol(G) divided by
+// this share runs as a pull instead of a push. Chosen by a sweep over
+// 4..50 on cora-sim, pubmed-sim and amazon2m-sim (DESIGN.md §2, "Pull
+// rounds"): at 50, amazon2m-sim's local residuals already cross it and each
+// pull walks all of its 5M adjacency entries.
+constexpr double kDenseRoundShare = 10.0;
+
+}  // namespace
+
 DiffusionEngine::DiffusionEngine(const Graph& graph)
     : graph_(graph), owned_ws_(graph), ws_(&owned_ws_) {}
 
@@ -47,20 +58,22 @@ SparseVector DiffusionEngine::Adaptive(const SparseVector& f,
 //   * greedy rounds fuse the threshold scan with gamma extraction (one pass
 //     over the support, then a scatter over the usually-small gamma batch);
 //   * non-greedy rounds skip scanning entirely — an early-exit probe checks
-//     that some node still meets Eq. 15, then one pass snapshots the whole
-//     residual (batch semantics of Eq. 16) and one pass scatters it;
+//     that some node still meets Eq. 15, then one pass drains the whole
+//     residual (batch semantics of Eq. 16) into the ping-pong partner, as a
+//     push over the support or, once vol(r) covers a kDenseRoundShare-th of
+//     vol(G), as a pull over every CSR row;
 //   * adaptive rounds use the probe when sigma == 0 (the decision only needs
 //     "is any node active" plus the budget) and a counting pass otherwise.
 template <bool Weighted, bool TrackVolume>
 void DiffusionEngine::RunLoop(Mode mode, const DiffusionOptions& opts,
                               double budget, bool record_trace, double r_l1,
-                              DiffusionStats* stats, uint64_t* iterations,
-                              uint64_t* greedy_rounds,
-                              uint64_t* nongreedy_rounds, uint64_t* push_work,
-                              double* nongreedy_cost) {
+                              DiffusionStats* stats, Counters* counts) {
   double* r = ws_->r();        // residual being drained this round
   double* r_next = ws_->r_other();  // all-zero ping-pong partner (see below)
   double* const q = ws_->q();
+  double* const s = ws_->s();
+  const NodeId n = graph_.num_nodes();
+  const double pull_volume = graph_.TotalVolume() / kDenseRoundShare;
   const double* const deg = graph_.degrees().data();
   const double* const inv_deg = ws_->inv_degree();
   const EdgeIndex* const offsets = graph_.offsets().data();
@@ -123,7 +136,7 @@ void DiffusionEngine::RunLoop(Mode mode, const DiffusionOptions& opts,
       q[v] += (1.0 - alpha) * g;
       const EdgeIndex begin = offsets[v];
       const EdgeIndex end = offsets[v + 1];
-      *push_work += end - begin;
+      counts->push_work += end - begin;
       const double scale = alpha * g * inv_deg[v];
       if (scale == 0.0 || begin == end) continue;  // dangling / underflow
       if (record_trace) scattered_l1 += alpha * g;
@@ -167,7 +180,7 @@ void DiffusionEngine::RunLoop(Mode mode, const DiffusionOptions& opts,
     if (mode != Mode::kGreedy) {
       const bool budget_ok =
           mode == Mode::kNonGreedy ||
-          (TrackVolume && *nongreedy_cost + r_volume_ < budget);
+          (TrackVolume && counts->nongreedy_cost + r_volume_ < budget);
       if (mode == Mode::kNonGreedy || opts.sigma == 0.0) {
         // The decision only needs "does any node meet the threshold", so an
         // early-exit probe replaces the full counting scan.
@@ -200,16 +213,67 @@ void DiffusionEngine::RunLoop(Mode mode, const DiffusionOptions& opts,
     // round's pushes land in next round's residual — the snapshot completes
     // before any scatter touches it).
     double g_total = 0.0;
-    if (nongreedy) {
+    if (nongreedy && TrackVolume && r_volume_ >= pull_volume) {
+      // Pull round: the same conversion as the push below, as an SpMV.
+      // Pass 1 converts r into q node by node and writes every node's share
+      // s_v = alpha r_v / d(v) (0 where r_v == 0, so s carries nothing from
+      // earlier rounds). Pass 2 gathers r_next[u] = sum over N(u) of s_v
+      // (times w(u, v)) in CSR order, which equals the push's scatter on an
+      // undirected graph up to the order of the floating-point sums. Both
+      // passes poll through the shared countdown once per node.
+      counts->nongreedy_cost += r_volume_;  // Algo. 2, Line 5
+      r_volume_ = 0.0;  // re-accumulated over r_next in pass 2
+      ++counts->nongreedy_rounds;
+      ++counts->pull_rounds;
+      for (NodeId v = 0; v < n; ++v) {
+        poll_cancel();
+        const double rv = r[v];
+        if (rv == 0.0) {
+          s[v] = 0.0;
+          continue;
+        }
+        r[v] = 0.0;
+        g_total += rv;
+        if (q[v] == 0.0) q_support.push_back(v);
+        q[v] += (1.0 - alpha) * rv;
+        const EdgeIndex degree = offsets[v + 1] - offsets[v];
+        counts->push_work += degree;
+        const double scale = alpha * rv * inv_deg[v];
+        s[v] = scale;
+        if (record_trace && scale != 0.0 && degree != 0) {
+          scattered_l1 += alpha * rv;
+        }
+      }
+      for (NodeId u = 0; u < n; ++u) {
+        poll_cancel();
+        double sum = 0.0;
+        for (EdgeIndex e = offsets[u]; e < offsets[u + 1]; ++e) {
+          if constexpr (Weighted) {
+            sum += s[adjacency[e]] * weights[e];
+          } else {
+            sum += s[adjacency[e]];
+          }
+        }
+        if (sum == 0.0) continue;
+        r_next[u] = sum;
+        r_volume_ += deg[u];
+        if (stamp[u] != call_stamp) {
+          stamp[u] = call_stamp;
+          support.push_back(u);
+        }
+      }
+      std::swap(r, r_next);  // pass 1 zeroed every entry of r
+      ws_->SwapR();
+    } else if (nongreedy) {
       // Eq. 17 converts the entire residual, so no snapshot pass is needed:
       // one fused pass drains r while scattering into the all-zero ping-pong
       // partner r_next, which preserves Eq. 16 batch semantics by
       // construction (reads and writes hit different arrays). The support
       // stays append-only; entries appended mid-pass hold their mass in
       // r_next and are skipped by the fixed iteration count.
-      *nongreedy_cost += r_volume_;  // Algo. 2, Line 5
+      counts->nongreedy_cost += r_volume_;  // Algo. 2, Line 5
       if (TrackVolume) r_volume_ = 0.0;  // re-accumulated over r_next below
-      ++*nongreedy_rounds;
+      ++counts->nongreedy_rounds;
       const size_t count = support.size();
       for (size_t i = 0; i < count; ++i) {
         poll_cancel();
@@ -222,7 +286,7 @@ void DiffusionEngine::RunLoop(Mode mode, const DiffusionOptions& opts,
         q[v] += (1.0 - alpha) * rv;
         const EdgeIndex begin = offsets[v];
         const EdgeIndex end = offsets[v + 1];
-        *push_work += end - begin;
+        counts->push_work += end - begin;
         const double scale = alpha * rv * inv_deg[v];
         if (scale == 0.0 || begin == end) continue;  // dangling / underflow
         if (record_trace) scattered_l1 += alpha * rv;
@@ -266,7 +330,7 @@ void DiffusionEngine::RunLoop(Mode mode, const DiffusionOptions& opts,
         r[v] = 0.0;
         queued[v] = 0;
       }
-      ++*greedy_rounds;
+      ++counts->greedy_rounds;
       scatter.template operator()<true>(gamma_ids.data(), gamma_values.data(),
                                         count);
     } else {
@@ -286,12 +350,12 @@ void DiffusionEngine::RunLoop(Mode mode, const DiffusionOptions& opts,
         if (TrackVolume) r_volume_ -= deg[v];
       }
       if (gamma_ids.empty()) break;  // Algo. 1, Line 4: gamma == 0
-      ++*greedy_rounds;
+      ++counts->greedy_rounds;
       scatter.template operator()<false>(gamma_ids.data(), gamma_values.data(),
                                          gamma_ids.size());
     }
 
-    ++*iterations;
+    ++counts->iterations;
     if (record_trace) {
       // ||r||_1 tracked incrementally: extraction removed g_total, the
       // scatter re-deposited alpha * g per non-dangling gamma node. This
@@ -342,30 +406,24 @@ SparseVector DiffusionEngine::Run(Mode mode, const SparseVector& f,
   // Cost budget of Algo. 2, Line 4: ||f||_1 / ((1 - alpha) eps).
   const double budget = f_l1 / ((1.0 - opts.alpha) * opts.epsilon);
   const bool record_trace = stats != nullptr && stats->record_trace;
-  uint64_t iterations = 0, greedy_rounds = 0, nongreedy_rounds = 0;
-  uint64_t push_work = 0;
-  double nongreedy_cost = 0.0;
+  Counters counts;
 
   try {
     if (graph_.is_weighted()) {
       if (mode == Mode::kGreedy) {
         RunLoop<true, false>(mode, opts, budget, record_trace, f_l1, stats,
-                             &iterations, &greedy_rounds, &nongreedy_rounds,
-                             &push_work, &nongreedy_cost);
+                             &counts);
       } else {
         RunLoop<true, true>(mode, opts, budget, record_trace, f_l1, stats,
-                            &iterations, &greedy_rounds, &nongreedy_rounds,
-                            &push_work, &nongreedy_cost);
+                            &counts);
       }
     } else {
       if (mode == Mode::kGreedy) {
         RunLoop<false, false>(mode, opts, budget, record_trace, f_l1, stats,
-                              &iterations, &greedy_rounds, &nongreedy_rounds,
-                              &push_work, &nongreedy_cost);
+                              &counts);
       } else {
         RunLoop<false, true>(mode, opts, budget, record_trace, f_l1, stats,
-                             &iterations, &greedy_rounds, &nongreedy_rounds,
-                             &push_work, &nongreedy_cost);
+                             &counts);
       }
     }
   } catch (const CancelledError&) {
@@ -378,11 +436,12 @@ SparseVector DiffusionEngine::Run(Mode mode, const SparseVector& f,
   }
 
   if (stats != nullptr) {
-    stats->iterations = iterations;
-    stats->greedy_rounds = greedy_rounds;
-    stats->nongreedy_rounds = nongreedy_rounds;
-    stats->push_work = push_work;
-    stats->nongreedy_cost = nongreedy_cost;
+    stats->iterations = counts.iterations;
+    stats->greedy_rounds = counts.greedy_rounds;
+    stats->nongreedy_rounds = counts.nongreedy_rounds;
+    stats->pull_rounds = counts.pull_rounds;
+    stats->push_work = counts.push_work;
+    stats->nongreedy_cost = counts.nongreedy_cost;
   }
 
   std::vector<NodeId>& q_support = ws_->q_support();

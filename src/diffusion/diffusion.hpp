@@ -30,7 +30,8 @@ struct DiffusionOptions {
   /// non-greedy rounds; >= 1 degenerates to GreedyDiffuse.
   double sigma = 0.0;
   /// Cooperative cancellation token (borrowed; null = never cancel). Polled
-  /// at every round boundary and every kCancelPollOps push operations. A
+  /// at every round boundary and every kCancelPollOps push operations (a
+  /// pull round counts one per node in each of its two passes). A
   /// tripped token throws CancelledError; the engine restores the workspace
   /// invariants (AbortCall) before letting it propagate, so the arena stays
   /// as warm and flat as after a completed call.
@@ -42,7 +43,11 @@ struct DiffusionStats {
   uint64_t iterations = 0;
   uint64_t greedy_rounds = 0;
   uint64_t nongreedy_rounds = 0;
-  /// Total edge traversals performed by push operations.
+  /// Non-greedy rounds that ran as a pull (a gather over every CSR row)
+  /// instead of a push; a subset of nongreedy_rounds (DESIGN.md §2).
+  uint64_t pull_rounds = 0;
+  /// Total edge traversals performed by push operations: sum of DegreeCount
+  /// over converted nodes, counted the same way for pull rounds.
   uint64_t push_work = 0;
   /// Budget consumed by non-greedy rounds (the C_tot of Algo. 2).
   double nongreedy_cost = 0.0;
@@ -58,6 +63,11 @@ struct DiffusionStats {
 /// heap allocations after warm-up. Weighted graphs are supported: pushes
 /// distribute proportionally to edge weights and thresholds use weighted
 /// degrees. Not thread-safe; not copyable (the workspace is call state).
+///
+/// A non-greedy round whose residual covers a large share of vol(G) runs as
+/// a pull: it converts the same residual and counts the same push_work, and
+/// only the order of the floating-point sums differs from a push
+/// (DESIGN.md §2, "Pull rounds").
 ///
 /// Extraction contract (the workspace-to-cacheable-vector seam): each call
 /// returns a plain SparseVector detached from the workspace — it owns its
@@ -107,14 +117,23 @@ class DiffusionEngine {
   SparseVector Run(Mode mode, const SparseVector& f,
                    const DiffusionOptions& opts, DiffusionStats* stats);
 
+  // One call's work counters; Run() copies them into DiffusionStats only
+  // when the call completes.
+  struct Counters {
+    uint64_t iterations = 0;
+    uint64_t greedy_rounds = 0;
+    uint64_t nongreedy_rounds = 0;
+    uint64_t pull_rounds = 0;
+    uint64_t push_work = 0;
+    double nongreedy_cost = 0.0;
+  };
+
   // The mode-specialized iteration loop; Weighted selects the scatter kernel
   // and TrackVolume elides vol(r) bookkeeping when the mode never reads it.
   template <bool Weighted, bool TrackVolume>
   void RunLoop(Mode mode, const DiffusionOptions& opts, double budget,
                bool record_trace, double r_l1, DiffusionStats* stats,
-               uint64_t* iterations, uint64_t* greedy_rounds,
-               uint64_t* nongreedy_rounds, uint64_t* push_work,
-               double* nongreedy_cost);
+               Counters* counts);
 
   const Graph& graph_;
   DiffusionWorkspace owned_ws_;  // unused when a workspace is borrowed

@@ -172,17 +172,24 @@ void ExpectMatchesReference(const Graph& g, RefMode mode, double epsilon,
   opts.sigma = sigma;
   SparseVector f = TwoSpikeInput();
   SparseVector got;
+  DiffusionStats stats;
   switch (mode) {
     case RefMode::kGreedy:
-      got = engine.Greedy(f, opts);
+      got = engine.Greedy(f, opts, &stats);
       break;
     case RefMode::kNonGreedy:
-      got = engine.NonGreedy(f, opts);
+      got = engine.NonGreedy(f, opts, &stats);
       break;
     case RefMode::kAdaptive:
-      got = engine.Adaptive(f, opts);
+      got = engine.Adaptive(f, opts, &stats);
       break;
   }
+  // At eps = 1e-5 the residual spreads over both test graphs, so the
+  // non-greedy rounds switch to pulls and the comparison below covers them.
+  if (mode != RefMode::kGreedy && epsilon == 1e-5) {
+    EXPECT_GT(stats.pull_rounds, 0u);
+  }
+  EXPECT_LE(stats.pull_rounds, stats.nongreedy_rounds);
   std::vector<double> want = ReferenceDiffuse(g, mode, f, opts);
   std::vector<double> got_dense = got.ToDense(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -282,13 +289,47 @@ TEST(GoldenZeroAllocTest, EngineSteadyStateAllocatesNothing) {
   engine.NonGreedy(f, opts);
   engine.Adaptive(f, opts);
   const uint64_t warm = engine.workspace().alloc_events();
+  uint64_t pull_rounds = 0;
   for (int rep = 0; rep < 10; ++rep) {
+    DiffusionStats nongreedy, adaptive;
     engine.Greedy(f, opts);
-    engine.NonGreedy(f, opts);
-    engine.Adaptive(f, opts);
+    engine.NonGreedy(f, opts, &nongreedy);
+    engine.Adaptive(f, opts, &adaptive);
     engine.Greedy(SparseVector::Unit(static_cast<NodeId>(7 + rep)), opts);
+    pull_rounds += nongreedy.pull_rounds + adaptive.pull_rounds;
   }
   EXPECT_EQ(engine.workspace().alloc_events(), warm);
+  // The steady state above includes pull rounds.
+  EXPECT_GT(pull_rounds, 0u);
+}
+
+TEST(GoldenWorkspaceTest, RebindingToALargerGraphGrowsEveryArray) {
+  // The pull round's share array is sized at Bind like r and q: a shared
+  // workspace rebound to a larger graph must grow it, count the
+  // allocations, and then run pull rounds exactly as a fresh arena does.
+  Graph small = WeightedTestGraph();
+  Graph large = UnweightedTestGraph();
+  ASSERT_LT(small.num_nodes(), large.num_nodes());
+  DiffusionWorkspace shared(small);
+  DiffusionOptions opts;
+  opts.epsilon = 1e-5;
+  DiffusionEngine(small, &shared).Adaptive(TwoSpikeInput(), opts);
+  const uint64_t before = shared.alloc_events();
+  DiffusionEngine engine(large, &shared);
+  // Eight dense arrays (r, its partner, q, s, queued, stamp, inv_degree,
+  // the queue ring) and five support lists.
+  EXPECT_EQ(shared.alloc_events(), before + 13);
+  EXPECT_EQ(shared.size(), large.num_nodes());
+  DiffusionStats stats;
+  SparseVector got = engine.Adaptive(TwoSpikeInput(), opts, &stats);
+  EXPECT_GT(stats.pull_rounds, 0u);
+  DiffusionEngine fresh(large);
+  SparseVector want = fresh.Adaptive(TwoSpikeInput(), opts);
+  ASSERT_EQ(got.Size(), want.Size());
+  for (size_t i = 0; i < want.Size(); ++i) {
+    EXPECT_EQ(got.entries()[i].index, want.entries()[i].index);
+    EXPECT_EQ(got.entries()[i].value, want.entries()[i].value);
+  }
 }
 
 TEST(GoldenWorkspaceTest, QueuePushThrowMidValidationLeavesWorkspaceClean) {

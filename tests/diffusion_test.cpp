@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
@@ -368,6 +369,90 @@ TEST(DiffusionTest, CancelledCallLeavesWorkspaceReusableAndAllocFlat) {
   }
   // Cancelled calls are as allocation-free as completed ones.
   EXPECT_EQ(engine.workspace().alloc_events(), warm_allocs);
+}
+
+TEST(DiffusionTest, CancelInsidePullRoundsLeavesWorkspaceReusable) {
+  // A ring lattice (each node joined to its 5 nearest ids on either side)
+  // and an input spread over 15% of it: vol(r) starts above a tenth of
+  // vol(G), so every round is a pull, and every round grows the support at
+  // both ends of the arc. A pull round polls once per node in each of its
+  // two passes, so all but about 1 in 80 poll sites of the call lie inside
+  // one. After a trip in pass 2, the bit-identical rerun shows that every
+  // node the round had just given residue was on the support list that
+  // AbortCall clears.
+  constexpr NodeId kNodes = 20000;
+  GraphBuilder b(kNodes);
+  for (NodeId v = 0; v < kNodes; ++v) {
+    for (NodeId j = 1; j <= 5; ++j) b.AddEdge(v, (v + j) % kNodes);
+  }
+  Graph g = b.Build();
+  SparseVector f;
+  for (NodeId v = 8000; v < 11000; ++v) f.Add(v, 1.0 / 3000);
+  DiffusionEngine engine(g);
+  DiffusionOptions opts;
+  opts.epsilon = 1e-7;
+  DiffusionStats stats;
+  const SparseVector expected = engine.Adaptive(f, opts, &stats);
+  ASSERT_GT(stats.pull_rounds, 2u);
+  ASSERT_EQ(stats.pull_rounds, stats.iterations);
+  ASSERT_GT(expected.Size(), 3000u);
+  const uint64_t warm_allocs = engine.workspace().alloc_events();
+
+  double call_s = 1e300;
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto t0 = CancelToken::Clock::now();
+    engine.Adaptive(f, opts);
+    call_s = std::min(
+        call_s, std::chrono::duration<double>(CancelToken::Clock::now() - t0)
+                    .count());
+  }
+  // Deadlines at fractions of the fastest uncancelled call: the early ones
+  // trip mid-call on any host.
+  CancelToken token;
+  int cancelled = 0;
+  for (double share : {0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85}) {
+    token.ArmDeadline(CancelToken::Clock::now() +
+                      std::chrono::duration_cast<CancelToken::Clock::duration>(
+                          std::chrono::duration<double>(share * call_s)));
+    DiffusionOptions copts = opts;
+    copts.cancel = &token;
+    try {
+      engine.Adaptive(f, copts);
+    } catch (const CancelledError&) {
+      ++cancelled;
+    }
+    token.Disarm();
+    SparseVector q = engine.Adaptive(f, opts);
+    ASSERT_EQ(q.Size(), expected.Size());
+    for (size_t i = 0; i < q.Size(); ++i) {
+      ASSERT_EQ(q.entries()[i].index, expected.entries()[i].index);
+      ASSERT_EQ(q.entries()[i].value, expected.entries()[i].value);
+    }
+  }
+  EXPECT_GT(cancelled, 0);
+  EXPECT_EQ(engine.workspace().alloc_events(), warm_allocs);
+}
+
+TEST(DiffusionTest, LocalDiffusionOnALargeGraphNeverPulls) {
+  // At eps = 1e-3 Algo. 2's budget caps vol(r) at 1 / ((1 - alpha) eps) =
+  // 5,000, far below a tenth of this graph's volume of about 200,000: every
+  // non-greedy round stays a push over the local support.
+  AttributedSbmOptions o;
+  o.num_nodes = 20000;
+  o.num_communities = 20;
+  o.avg_degree = 10.0;
+  o.intra_fraction = 0.7;
+  o.attr_dim = 0;
+  o.seed = 45;
+  Graph g = GenerateAttributedSbm(o).graph;
+  DiffusionEngine engine(g);
+  DiffusionOptions opts;
+  opts.epsilon = 1e-3;
+  DiffusionStats stats;
+  SparseVector q = engine.Adaptive(SparseVector::Unit(17), opts, &stats);
+  EXPECT_GT(stats.nongreedy_rounds, 0u);
+  EXPECT_EQ(stats.pull_rounds, 0u);
+  EXPECT_LT(q.Size(), g.num_nodes() / 10);
 }
 
 TEST(DiffusionTest, ArmedFarDeadlineDoesNotPerturbResults) {
